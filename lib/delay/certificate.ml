@@ -91,10 +91,12 @@ let certify_generic ?lambdas ?(refine = false) ?options ?norm dg ~mode ~pairs
   List.iter consider lambdas;
   (match (!best, refine) with
   | Some coarse, true ->
-      (* finer sweep around the coarse winner; the bound only improves *)
+      (* finer sweep around the coarse winner; the bound only improves.
+         The center itself is skipped: it is already [coarse], and only
+         a strictly larger bound replaces the best. *)
       let center = coarse.lambda in
       for i = -10 to 10 do
-        consider (center +. (0.005 *. float_of_int i))
+        if i <> 0 then consider (center +. (0.005 *. float_of_int i))
       done
   | _ -> ());
   match !best with

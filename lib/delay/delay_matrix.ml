@@ -32,20 +32,28 @@ let norm ?options dg lambda =
   check_lambda lambda;
   Spectral.norm2_sparse ?options (sparse dg lambda)
 
+module Blocks = Hashtbl.Make (struct
+  type t = Dense.t
+
+  let equal = Dense.identical
+  let hash = Dense.hash
+end)
+
 let norm_blockwise ?options ?domains dg lambda =
   check_lambda lambda;
   Gossip_util.Instrument.span "delay.norm-blockwise" (fun () ->
-      let g = Delay_digraph.graph dg in
-      let n = Gossip_topology.Digraph.n_vertices g in
-      let block_norm x =
-        let block = vertex_block dg lambda x in
-        if Dense.rows block > 0 && Dense.cols block > 0 then
-          Spectral.norm2_dense ?options block
-        else 0.0
-      in
-      (* Fused per-worker reduction: no per-vertex norm array (and no
-         index array) is materialized for what is a single max. *)
-      Gossip_util.Parallel.reduce ?domains n block_norm Float.max 0.0)
+      let n = Gossip_topology.Digraph.n_vertices (Delay_digraph.graph dg) in
+      (* Identical blocks have bit-identical norms, so each distinct block
+         is solved once; the max over them is the max over all vertices. *)
+      let seen = Blocks.create 64 in
+      for x = 0 to n - 1 do
+        Blocks.replace seen (vertex_block dg lambda x) ()
+      done;
+      let distinct = Array.of_seq (Blocks.to_seq_keys seen) in
+      (* An empty block's norm is 0. *)
+      Gossip_util.Parallel.reduce ?domains (Array.length distinct)
+        (fun i -> Spectral.norm2_dense ?options distinct.(i))
+        Float.max 0.0)
 
 let closed_form_bound ~mode ~window lambda =
   check_lambda lambda;

@@ -30,8 +30,13 @@ val norm :
 
 (** [norm_blockwise ?options ?domains dg lambda] is [max_x ‖Mx(λ)‖] —
     equal to {!norm} by norm property 8, but cheaper on large networks
-    since the blocks are small, and parallel over vertices ([domains]
-    defaults to {!Gossip_util.Parallel.recommended_domains}). *)
+    since the blocks are small.  It builds every vertex block, keeps one
+    of each set of {!Gossip_linalg.Dense.identical} blocks (systolic
+    expansions repeat the same local block at many vertices) and solves
+    each distinct block once by {!Gossip_linalg.Spectral.norm2_dense},
+    in parallel over the distinct blocks ([domains] defaults to
+    {!Gossip_util.Parallel.recommended_domains}); an empty block counts
+    as norm 0.  The result is bit for bit the max over all vertices. *)
 val norm_blockwise :
   ?options:Gossip_linalg.Spectral.options ->
   ?domains:int ->

@@ -59,26 +59,55 @@ let mul a b =
   done;
   c
 
+(* The two product loops.  They trust their caller for the dimensions —
+   [x] and [y] sized to [m], and [m.data] holds at least [rows * cols]
+   entries — so every public entry point below checks them once per
+   call and the loops read without bounds checks. *)
+let mv_loop m x y =
+  let cols = m.cols and data = m.data in
+  for i = 0 to m.rows - 1 do
+    let base = i * cols in
+    let acc = ref 0.0 in
+    for j = 0 to cols - 1 do
+      acc := !acc +. (Array.unsafe_get data (base + j) *. Array.unsafe_get x j)
+    done;
+    Array.unsafe_set y i !acc
+  done
+
+let tmv_loop m x y =
+  let cols = m.cols and data = m.data in
+  Array.fill y 0 cols 0.0;
+  for i = 0 to m.rows - 1 do
+    let xi = Array.unsafe_get x i in
+    if xi <> 0.0 then begin
+      let base = i * cols in
+      for j = 0 to cols - 1 do
+        Array.unsafe_set y j
+          (Array.unsafe_get y j +. (Array.unsafe_get data (base + j) *. xi))
+      done
+    end
+  done
+
 let mv m x =
   if Array.length x <> m.cols then invalid_arg "Dense.mv: dimension mismatch";
-  Array.init m.rows (fun i ->
-      let acc = ref 0.0 in
-      for j = 0 to m.cols - 1 do
-        acc := !acc +. (m.data.((i * m.cols) + j) *. x.(j))
-      done;
-      !acc)
+  let y = Array.make m.rows 0.0 in
+  mv_loop m x y;
+  y
 
 let tmv m x =
   if Array.length x <> m.rows then invalid_arg "Dense.tmv: dimension mismatch";
   let y = Array.make m.cols 0.0 in
-  for i = 0 to m.rows - 1 do
-    let xi = x.(i) in
-    if xi <> 0.0 then
-      for j = 0 to m.cols - 1 do
-        y.(j) <- y.(j) +. (m.data.((i * m.cols) + j) *. xi)
-      done
-  done;
+  tmv_loop m x y;
   y
+
+let gram_mv_into m x ~scratch y =
+  if
+    Array.length x <> m.cols
+    || Array.length scratch <> m.rows
+    || Array.length y <> m.cols
+  then invalid_arg "Dense.gram_mv_into: dimension mismatch";
+  mv_loop m x scratch;
+  tmv_loop m scratch y
 
 let same_dims name a b =
   if a.rows <> b.rows || a.cols <> b.cols then
@@ -191,6 +220,24 @@ let submatrix m ~row ~col ~rows ~cols =
 
 let outer x y =
   init (Array.length x) (Array.length y) (fun i j -> x.(i) *. y.(j))
+
+let bits x = Int64.bits_of_float x
+
+let hash m =
+  let h = ref ((m.rows * 65599) + m.cols) in
+  for k = 0 to (m.rows * m.cols) - 1 do
+    h := (!h * 31) + Int64.to_int (bits m.data.(k))
+  done;
+  !h land max_int
+
+let identical a b =
+  a.rows = b.rows && a.cols = b.cols
+  &&
+  let n = a.rows * a.cols in
+  let rec go k =
+    k = n || (Int64.equal (bits a.data.(k)) (bits b.data.(k)) && go (k + 1))
+  in
+  go 0
 
 let equal ?(eps = 1e-9) a b =
   a.rows = b.rows && a.cols = b.cols

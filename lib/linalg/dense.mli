@@ -49,6 +49,13 @@ val mv : t -> Vec.t -> Vec.t
 (** [tmv m x] is [mᵀ·x] without materializing the transpose. *)
 val tmv : t -> Vec.t -> Vec.t
 
+(** [gram_mv_into m x ~scratch y] writes [mᵀ·(m·x)] into [y], using
+    [scratch] (length [rows m]) for [m·x]; nothing is allocated.  The
+    entries are bit for bit those of [tmv m (mv m x)].
+    @raise Invalid_argument unless [x] and [y] have length [cols m] and
+    [scratch] length [rows m]. *)
+val gram_mv_into : t -> Vec.t -> scratch:Vec.t -> Vec.t -> unit
+
 (** [add a b] and [sub a b] are entrywise. *)
 val add : t -> t -> t
 
@@ -100,6 +107,15 @@ val submatrix : t -> row:int -> col:int -> rows:int -> cols:int -> t
 (** [outer x y] is the rank-one product [x·yᵀ], the building block of the
     paper's [B_{i,j} = λ^{d_{i,j}} Λ0_{l_i} (Λ0_{r_j})ᵀ]. *)
 val outer : Vec.t -> Vec.t -> t
+
+(** [identical a b] is exact equality: same dimensions and the same bits
+    in every entry, so that any computation on [a] gives bit for bit the
+    result it gives on [b]. *)
+val identical : t -> t -> bool
+
+(** [hash m] hashes the dimensions and every entry's bits; [identical]
+    matrices hash equal. *)
+val hash : t -> int
 
 (** [equal ?eps a b] is entrywise approximate equality. *)
 val equal : ?eps:float -> t -> t -> bool

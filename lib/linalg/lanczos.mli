@@ -1,11 +1,13 @@
 (** Lanczos iteration for extremal eigenvalues of symmetric operators.
 
     Power iteration (in {!Spectral}) converges linearly with ratio
-    [λ₂/λ₁]; the delay-matrix Gram operators often have clustered top
-    eigenvalues (many identical vertex blocks), where Lanczos'
-    Krylov-subspace view converges much faster and additionally exposes
-    the spectral gap.  Used as a cross-check of {!Spectral} in the test
-    suite and available to callers who need eigenvalue pairs. *)
+    [λ₂/λ₁].  [Delay_matrix.norm_blockwise] solves each distinct vertex
+    block once, so repeated blocks cost nothing; what slows the power
+    iteration is clustering within one block, whose Gram operator can
+    have clustered top eigenvalues, where Lanczos' Krylov-subspace view
+    converges much faster and additionally exposes the spectral gap.  Used as a
+    cross-check of {!Spectral} in the test suite and available to
+    callers who need eigenvalue pairs. *)
 
 (** Result of a Lanczos run. *)
 type result = {

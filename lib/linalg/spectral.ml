@@ -11,25 +11,36 @@ let start_vector options n =
   ignore (Vec.normalize v);
   v
 
-(* Power iteration for a symmetric positive semidefinite operator; returns
-   the dominant eigenvalue. The Rayleigh quotient of a PSD operator
-   increases monotonically along the iteration, so the stopping rule on
-   its relative change is sound. *)
-let dominant_eig_psd options apply n =
-  if n = 0 then 0.0
+(* Power iteration for a symmetric positive semidefinite operator given
+   as [gram_into x y], which writes [G·x] into [y]; returns the dominant
+   eigenvalue estimate.  Sweep k normalizes y = G·x to unit length and
+   takes the Rayleigh quotient y·(G·y); G·y is then the next sweep's
+   G·x, so each sweep applies G once.  Two buffers trade roles: [gx]
+   holds G·x on entry to a sweep and becomes y, [gy] receives G·y.
+
+   The stopping rule — relative change of the quotient below [tol] — is
+   a heuristic, not a certificate.  The quotient approaches the dominant
+   eigenvalue from below, so the value returned is an under-estimate, by
+   more when the top eigenvalues are clustered; and when [max_iter]
+   sweeps run out, the current under-estimate is returned with no
+   warning. *)
+let dominant_eig_psd options gram_into n =
+  if n = 0 || options.max_iter < 1 then 0.0
   else begin
-    let x = ref (start_vector options n) in
+    let gx = ref (Array.make n 0.0) and gy = ref (start_vector options n) in
+    gram_into !gy !gx;
     let eig = ref 0.0 in
     (try
        for _ = 1 to options.max_iter do
-         let y = apply !x in
+         let y = !gx in
          let ny = Vec.norm2 y in
          if ny = 0.0 then begin
            eig := 0.0;
            raise Exit
          end;
          Vec.scale_into y (1.0 /. ny);
-         let rayleigh = Vec.dot y (apply y) in
+         gram_into y !gy;
+         let rayleigh = Vec.dot y !gy in
          if
            Float.abs (rayleigh -. !eig)
            <= options.tol *. Float.max 1.0 (Float.abs rayleigh)
@@ -38,21 +49,26 @@ let dominant_eig_psd options apply n =
            raise Exit
          end;
          eig := rayleigh;
-         x := y
+         gx := !gy;
+         gy := y
        done
      with Exit -> ());
     Float.max 0.0 !eig
   end
 
-let norm2_of_ops ?(options = default_options) ~rows ~cols ~mv ~tmv () =
+let norm2_of_gram options ~rows ~cols gram_into =
   if rows = 0 || cols = 0 then 0.0
-  else
-    let gram_apply x = tmv (mv x) in
-    sqrt (dominant_eig_psd options gram_apply cols)
+  else sqrt (dominant_eig_psd options gram_into cols)
+
+let norm2_of_ops ?(options = default_options) ~rows ~cols ~mv ~tmv () =
+  norm2_of_gram options ~rows ~cols (fun x y ->
+      Array.blit (tmv (mv x)) 0 y 0 cols)
 
 let norm2_dense ?(options = default_options) m =
-  norm2_of_ops ~options ~rows:(Dense.rows m) ~cols:(Dense.cols m)
-    ~mv:(Dense.mv m) ~tmv:(Dense.tmv m) ()
+  let rows = Dense.rows m in
+  let scratch = Array.make rows 0.0 in
+  norm2_of_gram options ~rows ~cols:(Dense.cols m) (fun x y ->
+      Dense.gram_mv_into m x ~scratch y)
 
 let norm2_sparse ?(options = default_options) m =
   norm2_of_ops ~options ~rows:(Sparse.rows m) ~cols:(Sparse.cols m)

@@ -8,14 +8,25 @@
     strictly positive start vector, valid for non-negative matrices by
     Perron–Frobenius — for the spectral radius. *)
 
-(** Convergence parameters. [tol] is the relative change of the eigenvalue
-    estimate between sweeps; [max_iter] caps the sweeps. *)
+(** Iteration parameters. The iteration stops when the relative change of
+    the eigenvalue estimate between sweeps is at most [tol], or after
+    [max_iter] sweeps; [seed] fixes the positive start vector.  The
+    stopping rule is a heuristic, not a bound: for a norm the estimate is
+    a Rayleigh quotient of the Gram operator, which approaches [‖M‖²]
+    from below, so the returned norm can fall short of [‖M‖], most when
+    the top singular values are clustered.  When [max_iter] runs out the
+    current estimate is returned without any warning. *)
 type options = { tol : float; max_iter : int; seed : int }
 
 (** [default_options] is [{ tol = 1e-12; max_iter = 10_000; seed = 42 }]. *)
 val default_options : options
 
-(** [norm2_dense ?options m] is the Euclidean (spectral) norm of [m]. *)
+(** The three norms below run one power-iteration loop on the Gram
+    operator [mᵀm], one Gram product per sweep, over preallocated
+    buffers; they differ only in how the product is formed.  *)
+
+(** [norm2_dense ?options m] is the Euclidean (spectral) norm of [m]; its
+    Gram products ({!Dense.gram_mv_into}) allocate nothing. *)
 val norm2_dense : ?options:options -> Dense.t -> float
 
 (** [norm2_sparse ?options m] is the Euclidean norm of a sparse matrix,

@@ -115,28 +115,58 @@ let test_norm_equals_blockwise () =
         (Numeric.approx_equal ~eps:1e-6 a b))
     [ 0.3; 0.6; 0.8 ]
 
-(* The parallel blockwise norm takes a per-vertex max of independently
-   computed block norms, so the worker count must not change even the
-   last bit of the result. *)
+(* The parallel blockwise norm takes a max of independently computed
+   norms of the distinct blocks, so neither the worker count nor the
+   deduplication may change even the last bit of the result. *)
 let test_norm_blockwise_parallel_bitwise () =
-  let sys =
+  let random =
     Builders.random_systolic (Families.de_bruijn 2 4) Protocol.Half_duplex
       ~period:5 ~seed:2 ~density:0.9
   in
-  let dg = Delay_digraph.of_systolic sys ~length:20 in
+  let dg_of ?length sys =
+    let length =
+      match length with
+      | Some l -> l
+      | None -> Option.get (Gossip_simulate.Engine.gossip_time sys)
+    in
+    Delay_digraph.of_systolic sys ~length
+  in
+  (* The random protocol has few repeated blocks; the hypercube sweep and
+     the cycle rotation repeat one local block at many vertices, so
+     [norm_blockwise] solves only a fraction of them. *)
+  let cases =
+    [
+      ("random DB(2,4)", dg_of ~length:20 random);
+      ( "Q5 half-duplex sweep",
+        dg_of (Builders.hypercube_sweep ~dim:5 ~full_duplex:false) );
+      ("C16 rotate", dg_of (Builders.cycle_rotate 16));
+    ]
+  in
   List.iter
-    (fun lambda ->
-      let seq = Delay_matrix.norm_blockwise ~domains:1 dg lambda in
+    (fun (name, dg) ->
+      let n = Digraph.n_vertices (Delay_digraph.graph dg) in
       List.iter
-        (fun domains ->
-          let par = Delay_matrix.norm_blockwise ~domains dg lambda in
-          check
-            (Printf.sprintf "bit-identical at lambda=%.2f domains=%d" lambda
-               domains)
-            true
-            (Int64.equal (Int64.bits_of_float seq) (Int64.bits_of_float par)))
-        [ 2; 4 ])
-    [ 0.3; 0.6; 0.8 ]
+        (fun lambda ->
+          (* the max over every vertex, without deduplication *)
+          let every_vertex = ref 0.0 in
+          for x = 0 to n - 1 do
+            every_vertex :=
+              Float.max !every_vertex
+                (Spectral.norm2_dense (Delay_matrix.vertex_block dg lambda x))
+          done;
+          List.iter
+            (fun domains ->
+              let par = Delay_matrix.norm_blockwise ~domains dg lambda in
+              check
+                (Printf.sprintf "%s: bit-identical at lambda=%.2f domains=%d"
+                   name lambda domains)
+                true
+                (Int64.equal
+                   (Int64.bits_of_float !every_vertex)
+                   (Int64.bits_of_float par)))
+            [ 1; 2; 4 ])
+        [ 0.3; 0.6; 0.8 ])
+    cases
 
 (* Lemma 4.3 / 6.1: ‖M(λ)‖ <= closed form, for random protocols in every
    mode. *)
@@ -467,6 +497,38 @@ let test_certificate_refine_improves () =
     (refined.Certificate.bound >= plain.Certificate.bound);
   check "refined still sound" true (refined.Certificate.bound <= t)
 
+(* The refine pass scans 20 points around the coarse winner, not 21: the
+   winner itself is not evaluated again.  The certificate equals a plain
+   scan over the 19 coarse points followed by all 21 fine ones. *)
+let test_certificate_refine_skips_center () =
+  let sys = Builders.hypercube_sweep ~dim:4 ~full_duplex:false in
+  let t = Option.get (Gossip_simulate.Engine.gossip_time sys) in
+  let dg = Delay_digraph.of_systolic sys ~length:t in
+  let calls = ref 0 in
+  let norm dg lambda =
+    incr calls;
+    Delay_matrix.norm_blockwise dg lambda
+  in
+  let refined =
+    Certificate.certify ~refine:true ~norm dg ~mode:Protocol.Half_duplex
+  in
+  check_int "19 coarse + 20 fine norm calls" 39 !calls;
+  let coarse = List.init 19 (fun i -> 0.05 +. (0.05 *. float_of_int i)) in
+  let center =
+    (Certificate.certify dg ~mode:Protocol.Half_duplex).Certificate.lambda
+  in
+  let fine =
+    List.init 21 (fun i -> center +. (0.005 *. float_of_int (i - 10)))
+  in
+  let expected =
+    Certificate.certify ~lambdas:(coarse @ fine) dg ~mode:Protocol.Half_duplex
+  in
+  check "same certificate as scanning the center again" true
+    (Certificate.to_json refined = Certificate.to_json expected
+    && Int64.equal
+         (Int64.bits_of_float refined.Certificate.norm)
+         (Int64.bits_of_float expected.Certificate.norm))
+
 let test_certify_systolic_stabilizes () =
   let sys = Builders.cycle_rotate 8 in
   let cert = Certificate.certify_systolic sys in
@@ -566,6 +628,8 @@ let suite =
     ("separator certificate", `Quick, test_certificate_separator);
     ("impossible_t edges", `Quick, test_impossible_t_edges);
     ("certificate refine improves", `Quick, test_certificate_refine_improves);
+    ("certificate refine skips the center", `Quick,
+      test_certificate_refine_skips_center);
     ("certify_systolic stabilizes", `Quick, test_certify_systolic_stabilizes);
     ("delay digraph to_dot", `Quick, test_delay_digraph_to_dot);
     q prop_norm_bound_half_duplex;

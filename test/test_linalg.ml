@@ -374,6 +374,162 @@ let prop_semi_eigen_bounds_rho =
       in
       Spectral.spectral_radius_nonneg m <= e +. 1e-6)
 
+(* --- Kernel bit-identity ---
+
+   Test-only reference: the earlier power iteration, kept verbatim — two
+   Gram applies per sweep, a fresh vector per product — over matrix-vector
+   loops written from the definition.  The production loop applies the
+   Gram operator once per sweep, in place; every norm must still equal
+   this reference bit for bit. *)
+
+let ref_start_vector (options : Spectral.options) n =
+  let rng = Gossip_util.Prng.create options.seed in
+  let v = Array.init n (fun _ -> 0.5 +. Gossip_util.Prng.float rng 1.0) in
+  ignore (Vec.normalize v);
+  v
+
+let ref_dominant_eig_psd (options : Spectral.options) apply n =
+  if n = 0 then 0.0
+  else begin
+    let x = ref (ref_start_vector options n) in
+    let eig = ref 0.0 in
+    (try
+       for _ = 1 to options.max_iter do
+         let y = apply !x in
+         let ny = Vec.norm2 y in
+         if ny = 0.0 then begin
+           eig := 0.0;
+           raise Exit
+         end;
+         Vec.scale_into y (1.0 /. ny);
+         let rayleigh = Vec.dot y (apply y) in
+         if
+           Float.abs (rayleigh -. !eig)
+           <= options.tol *. Float.max 1.0 (Float.abs rayleigh)
+         then begin
+           eig := rayleigh;
+           raise Exit
+         end;
+         eig := rayleigh;
+         x := y
+       done
+     with Exit -> ());
+    Float.max 0.0 !eig
+  end
+
+let ref_mv m x =
+  Array.init (Dense.rows m) (fun i ->
+      let acc = ref 0.0 in
+      for j = 0 to Dense.cols m - 1 do
+        acc := !acc +. (Dense.get m i j *. x.(j))
+      done;
+      !acc)
+
+let ref_tmv m x =
+  let y = Array.make (Dense.cols m) 0.0 in
+  for i = 0 to Dense.rows m - 1 do
+    let xi = x.(i) in
+    if xi <> 0.0 then
+      for j = 0 to Dense.cols m - 1 do
+        y.(j) <- y.(j) +. (Dense.get m i j *. xi)
+      done
+  done;
+  y
+
+let ref_norm2 options m =
+  if Dense.rows m = 0 || Dense.cols m = 0 then 0.0
+  else
+    sqrt
+      (ref_dominant_eig_psd options
+         (fun x -> ref_tmv m (ref_mv m x))
+         (Dense.cols m))
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* All three norm entry points against the reference, under [options]. *)
+let kernel_matches_reference options m =
+  let expected = ref_norm2 options m in
+  let rows = Dense.rows m and cols = Dense.cols m in
+  same_bits expected (Spectral.norm2_dense ~options m)
+  && same_bits expected (Spectral.norm2_sparse ~options (Sparse.of_dense m))
+  && same_bits expected
+       (Spectral.norm2_of_ops ~options ~rows ~cols ~mv:(Dense.mv m)
+          ~tmv:(Dense.tmv m) ())
+
+let gen_kernel_matrix =
+  QCheck.Gen.(
+    let* n = int_range 1 12 in
+    let* m = int_range 1 12 in
+    let* sparsity = float_bound_inclusive 1.0 in
+    let* data =
+      array_size
+        (return (n * m))
+        (pair (float_bound_inclusive 1.0) (float_bound_inclusive 1.0))
+    in
+    return
+      (Dense.init n m (fun i j ->
+           let keep, v = data.((i * m) + j) in
+           if keep < sparsity then v else 0.0)))
+
+let prop_kernel_bit_identical =
+  QCheck.Test.make ~name:"norm kernels = two-apply reference, bit for bit"
+    ~count:200
+    (QCheck.make gen_kernel_matrix)
+    (kernel_matches_reference Spectral.default_options)
+
+let test_kernel_bit_identical_edges () =
+  let opts = Spectral.default_options in
+  let row k = Dense.init 1 k (fun _ j -> 0.1 *. float_of_int (j + 1)) in
+  let col k = Dense.init k 1 (fun i _ -> 0.3 +. float_of_int i) in
+  List.iter
+    (fun k ->
+      check (Printf.sprintf "1x%d" k) true (kernel_matches_reference opts (row k));
+      check (Printf.sprintf "%dx1" k) true (kernel_matches_reference opts (col k));
+      check (Printf.sprintf "zero %dx%d" k (k + 1)) true
+        (kernel_matches_reference opts (Dense.create k (k + 1) 0.0)))
+    [ 1; 2; 5; 9 ];
+  check "0x3" true (kernel_matches_reference opts (Dense.create 0 3 0.0));
+  (* Clustered top singular values converge slowly: a few sweeps exhaust
+     [max_iter], and the capped estimate must still match. *)
+  let clustered =
+    m_of [ [ 1.0; 0.0; 0.0 ]; [ 0.0; 0.999; 0.0 ]; [ 0.0; 0.0; 0.5 ] ]
+  in
+  List.iter
+    (fun max_iter ->
+      let options = { opts with Spectral.max_iter } in
+      check (Printf.sprintf "max_iter=%d" max_iter) true
+        (kernel_matches_reference options clustered);
+      check (Printf.sprintf "max_iter=%d, tol=0" max_iter) true
+        (kernel_matches_reference { options with Spectral.tol = 0.0 }
+           (Dense.init 4 6 (fun i j -> float_of_int (((i * 7) + j) mod 5)))))
+    [ 0; 1; 2; 3; 7 ];
+  check "capped estimate below the norm" true
+    (Spectral.norm2_dense ~options:{ opts with Spectral.max_iter = 3 } clustered
+    < 1.0)
+
+let test_gram_mv_into () =
+  let m = m_of [ [ 1.0; 2.0; 0.0 ]; [ 0.0; 1.0; 3.0 ] ] in
+  let x = [| 1.0; -1.0; 2.0 |] in
+  let y = Array.make 3 nan in
+  Dense.gram_mv_into m x ~scratch:(Array.make 2 0.0) y;
+  check "equals tmv (mv x)" true
+    (Array.for_all2 same_bits y (Dense.tmv m (Dense.mv m x)));
+  let raises f =
+    match f () with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  check "short x" true
+    (raises (fun () ->
+         Dense.gram_mv_into m [| 1.0 |] ~scratch:(Array.make 2 0.0)
+           (Array.make 3 0.0)));
+  check "short scratch" true
+    (raises (fun () ->
+         Dense.gram_mv_into m x ~scratch:(Array.make 1 0.0) (Array.make 3 0.0)));
+  check "long y" true
+    (raises (fun () ->
+         Dense.gram_mv_into m x ~scratch:(Array.make 2 0.0) (Array.make 4 0.0)))
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -415,4 +571,7 @@ let suite =
     ("lanczos second eigenvalue", `Quick, test_lanczos_second_eigenvalue);
     ("lanczos degenerate dims", `Quick, test_lanczos_degenerate);
     q prop_lanczos_matches_power;
+    q prop_kernel_bit_identical;
+    ("kernel bit-identical edge cases", `Quick, test_kernel_bit_identical_edges);
+    ("dense gram_mv_into", `Quick, test_gram_mv_into);
   ]
