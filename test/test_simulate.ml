@@ -339,6 +339,209 @@ let test_faults_curve_points_json () =
             && Json.member "p_recover" j = Some (Json.Float p_recover)))
     pts models
 
+(* --- differential: a naive reference simulator --- *)
+
+(* The reference keeps a [bool array array] and copies the whole state at
+   the start of every round, so each arc reads start-of-round knowledge
+   by construction.  It runs [round_of 0], [round_of 1], ... until gossip
+   completes or [cap] rounds, and returns the coverage after each round,
+   the gossip time and, per source, the broadcast time. *)
+let naive_run n ~cap round_of =
+  let know = Array.init n (fun v -> Array.init n (fun i -> i = v)) in
+  let bcast = Array.make n None in
+  let everyone_knows i = Array.for_all (fun row -> row.(i)) know in
+  let count () =
+    Array.fold_left
+      (fun acc row ->
+        Array.fold_left (fun acc k -> if k then acc + 1 else acc) acc row)
+      0 know
+  in
+  let coverage = ref [] and gossip = ref None and r = ref 0 in
+  while !gossip = None && !r < cap do
+    let old = Array.map Array.copy know in
+    List.iter
+      (fun (x, y) ->
+        Array.iteri (fun i k -> if k then know.(y).(i) <- true) old.(x))
+      (round_of !r);
+    incr r;
+    let c = count () in
+    coverage := (float_of_int c /. float_of_int (n * n)) :: !coverage;
+    for i = 0 to n - 1 do
+      if bcast.(i) = None && everyone_knows i then bcast.(i) <- Some !r
+    done;
+    if c = n * n then gossip := Some !r
+  done;
+  (Array.of_list (List.rev !coverage), !gossip, bcast)
+
+(* Every generator of [Families] and [Extra_families] at a small size:
+   symmetric ones under both edge colourings, directed ones under a
+   seeded random directed protocol; plus the cycle rotations. *)
+let differential_protocols () =
+  let undirected =
+    [
+      Families.path 5;
+      Families.cycle 6;
+      Families.cycle 7;
+      Families.complete 5;
+      Families.star 6;
+      Families.complete_bipartite 2 3;
+      Families.hypercube 3;
+      Families.grid 3 3;
+      Families.torus 3 4;
+      Families.complete_dary_tree 2 2;
+      Families.butterfly 2 2;
+      Families.wrapped_butterfly 2 3;
+      Families.de_bruijn 2 3;
+      Families.kautz 2 3;
+      Extra_families.cube_connected_cycles 3;
+      Extra_families.shuffle_exchange 3;
+      Extra_families.knoedel ~delta:2 ~n:8;
+    ]
+  in
+  let directed =
+    [
+      Families.directed_cycle 5;
+      Families.wrapped_butterfly_directed 2 2;
+      Families.de_bruijn_directed 2 3;
+      Families.kautz_directed 2 2;
+      Extra_families.shuffle_exchange_directed 3;
+    ]
+  in
+  List.concat_map
+    (fun g ->
+      [ Builders.edge_coloring_half_duplex g; Builders.edge_coloring_full_duplex g ])
+    undirected
+  @ List.map
+      (fun g ->
+        Builders.random_systolic g Protocol.Directed ~period:4 ~seed:3
+          ~density:1.0)
+      directed
+  @ [ Builders.cycle_rotate 8; Builders.cycle_rotate 12 ]
+
+let test_differential_naive () =
+  List.iter
+    (fun sys ->
+      let g = Systolic.graph sys in
+      let n = Digraph.n_vertices g in
+      let cap = (8 * Systolic.period sys * n) + 64 in
+      let name = Printf.sprintf "%s %s" (Digraph.name g)
+          (Protocol.mode_to_string (Systolic.mode sys)) in
+      let coverage, gossip, bcast =
+        naive_run n ~cap (Systolic.period_round sys)
+      in
+      let run = Engine.gossip_run sys in
+      check (name ^ ": gossip time") true (run.Engine.time = gossip);
+      check (name ^ ": gossip_time = gossip_run") true
+        (Engine.gossip_time sys = gossip);
+      check (name ^ ": per-round coverage") true (run.Engine.curve = coverage);
+      for src = 0 to n - 1 do
+        check
+          (Printf.sprintf "%s: broadcast from %d" name src)
+          true
+          (Engine.broadcast_time sys ~src = bcast.(src))
+      done;
+      (* the same rounds as a finite protocol *)
+      let len = min cap (Option.value gossip ~default:cap) in
+      let p = Systolic.expand sys ~length:len in
+      let o = Engine.run_protocol p in
+      check (name ^ ": run_protocol completion") true
+        (o.Engine.completed_at = gossip);
+      check (name ^ ": run_protocol rounds") true (o.Engine.rounds_run = len);
+      check (name ^ ": run_protocol coverage") true
+        (o.Engine.coverage = coverage.(Array.length coverage - 1)))
+    (differential_protocols ())
+
+(* --- Faults: outcomes pinned at fixed seeds --- *)
+
+let golden_protocols =
+  [
+    ("Q4 hd", Builders.hypercube_sweep ~dim:4 ~full_duplex:false);
+    ("C12 rotate", Builders.cycle_rotate 12);
+    ("K(2,3) fd", Builders.edge_coloring_full_duplex (Families.kautz 2 3));
+  ]
+
+let golden_models =
+  [
+    ("iid", Faults.Iid { p = 0.3 });
+    ("perm", Faults.Permanent { k = 2 });
+    ("bursty", Faults.Bursty { p_fail = 0.15; p_recover = 0.3 });
+  ]
+
+(* (protocol, model, seed, completed_at, drops, activations, failed_arcs) *)
+let golden_runs =
+  [
+    ("Q4 hd", "iid", 11, Some 25, 46, 200, []);
+    ("Q4 hd", "iid", 42, Some 18, 48, 144, []);
+    ("Q4 hd", "perm", 11, Some 12, 2, 96, [ (0, 4); (1, 5) ]);
+    ("Q4 hd", "perm", 42, Some 12, 4, 96, [ (3, 2); (4, 5) ]);
+    ("Q4 hd", "bursty", 11, Some 15, 18, 120, []);
+    ("Q4 hd", "bursty", 42, Some 15, 20, 120, []);
+    ("C12 rotate", "iid", 11, Some 23, 28, 138, []);
+    ("C12 rotate", "iid", 42, Some 26, 49, 156, []);
+    ("C12 rotate", "perm", 11, None, 416, 4992, [ (3, 4); (6, 5) ]);
+    ("C12 rotate", "perm", 42, Some 24, 12, 144, [ (2, 3); (3, 4) ]);
+    ("C12 rotate", "bursty", 11, Some 33, 56, 198, []);
+    ("C12 rotate", "bursty", 42, Some 46, 84, 276, []);
+    ("K(2,3) fd", "iid", 11, Some 11, 20, 94, []);
+    ("K(2,3) fd", "iid", 42, Some 17, 49, 148, []);
+    ("K(2,3) fd", "perm", 11, Some 8, 3, 76, [ (10, 3); (11, 6) ]);
+    ("K(2,3) fd", "perm", 42, Some 7, 3, 64, [ (0, 8); (7, 10) ]);
+    ("K(2,3) fd", "bursty", 11, Some 11, 16, 94, []);
+    ("K(2,3) fd", "bursty", 42, Some 13, 21, 118, []);
+  ]
+
+let test_faults_golden_runs () =
+  List.iter
+    (fun (pn, mn, seed, completed_at, drops, activations, failed_arcs) ->
+      let o =
+        Faults.run (List.assoc pn golden_protocols)
+          ~model:(List.assoc mn golden_models) ~seed
+      in
+      check
+        (Printf.sprintf "%s %s seed %d" pn mn seed)
+        true
+        (o = { Faults.completed_at; drops; activations; failed_arcs }))
+    golden_runs
+
+(* (protocol, probability, mean, completed, trials) at seed 99 *)
+let golden_slowdown =
+  [
+    ("Q4 hd", 0.0, Some 8.0, 5, 5);
+    ("Q4 hd", 0.1, Some 12.8, 5, 5);
+    ("Q4 hd", 0.3, Some 17.2, 5, 5);
+    ("Q4 hd", 0.5, Some 34.8, 5, 5);
+    ("C12 rotate", 0.0, Some 12.0, 5, 5);
+    ("C12 rotate", 0.1, Some 17.2, 5, 5);
+    ("C12 rotate", 0.3, Some 25.6, 5, 5);
+    ("C12 rotate", 0.5, Some 40.6, 5, 5);
+    ("K(2,3) fd", 0.0, Some 7.0, 5, 5);
+    ("K(2,3) fd", 0.1, Some 9.8, 5, 5);
+    ("K(2,3) fd", 0.3, Some 11.6, 5, 5);
+    ("K(2,3) fd", 0.5, Some 21.2, 5, 5);
+  ]
+
+let test_faults_golden_slowdown () =
+  let point (probability, mean, completed, trials) =
+    { Faults.probability; mean; completed; trials }
+  in
+  List.iter
+    (fun (pn, sys) ->
+      let expect =
+        List.filter_map
+          (fun (q, prob, mean, c, t) ->
+            if q = pn then Some (point (prob, mean, c, t)) else None)
+          golden_slowdown
+      in
+      check (pn ^ " slowdown curve") true
+        (Faults.slowdown_curve sys ~probabilities:[ 0.0; 0.1; 0.3; 0.5 ]
+           ~seed:99
+        = expect))
+    golden_protocols;
+  check "capped slowdown curve" true
+    (Faults.slowdown_curve ~cap:40 ~trials:3 (Builders.cycle_rotate 12)
+       ~probabilities:[ 0.2; 0.6 ] ~seed:5
+    = [ point (0.2, Some (55.0 /. 3.0), 3, 3); point (0.6, None, 0, 3) ])
+
 (* Knowledge sets only ever grow, and every known item is explained by a
    dipath in time (we check growth + final size bound). *)
 let prop_knowledge_monotone =
@@ -430,6 +633,9 @@ let suite =
     ("faults bursty p_fail=0 baseline", `Quick, test_faults_bursty_p0_matches_baseline);
     ("faults bursty deterministic", `Quick, test_faults_bursty_deterministic_and_bursty);
     ("faults curve json", `Quick, test_faults_curve_points_json);
+    ("differential vs naive reference", `Quick, test_differential_naive);
+    ("faults golden runs", `Quick, test_faults_golden_runs);
+    ("faults golden slowdown curves", `Quick, test_faults_golden_slowdown);
     q prop_knowledge_monotone;
     q prop_gossip_at_least_diameter;
     q prop_items_bounded_by_activations;
