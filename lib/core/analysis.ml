@@ -68,7 +68,7 @@ let certify_protocol ?ctx ?horizon p =
     match (gossip_time, horizon) with
     | Some t, _ -> t
     | None, Some h -> h
-    | None, None -> (8 * Systolic.period p * n) + 64
+    | None, None -> Engine.default_cap p
   in
   let certificate =
     match ctx with

@@ -23,6 +23,10 @@ let sender t round v =
   if round < 0 then invalid_arg "Schedule.sender: negative round";
   t.sender round v
 
+let round_sender t round =
+  if round < 0 then invalid_arg "Schedule.sender: negative round";
+  t.sender round
+
 (* --- the materialized protocols as one instance ---------------------- *)
 
 let of_systolic sys =

@@ -6,10 +6,11 @@
     module represents a schedule as a pure {e sender function}
     [sender round v] — the vertex transmitting to [v] in [round], or
     [-1] — so each round's matching is recomputed blockwise by the
-    chunked engine and never stored.  The materialized protocols become
-    one instance via {!of_systolic}, and {!to_systolic} bridges back so
-    property tests can pin implicit schedules against the legacy engine
-    on small instances. *)
+    simulators' round kernel and never stored.  The materialized
+    protocols become one instance via {!of_systolic} (the form in which
+    every systolic protocol is simulated), and {!to_systolic} bridges
+    back so property tests can pin implicit schedules against their
+    materialized counterparts on small instances. *)
 
 type t
 
@@ -39,6 +40,12 @@ val period : t -> int
     [round], or [-1] when [v] only listens.
     @raise Invalid_argument on [round < 0]. *)
 val sender : t -> int -> int -> int
+
+(** [round_sender t round] is [sender t round] with the round checked
+    once instead of per vertex: one round's receiver→sender table, the
+    form the simulators' round kernel reads.
+    @raise Invalid_argument on [round < 0]. *)
+val round_sender : t -> int -> int -> int
 
 (** [of_systolic sys] views a materialized systolic protocol as a
     schedule, precomputing one receiver-indexed sender table per period

@@ -5,12 +5,12 @@ module Protocol = Gossip_protocol.Protocol
 module Schedule = Gossip_protocol.Schedule
 
 (* One contiguous int array of n·words knowledge bits, processed in
-   contiguous vertex blocks by worker domains.  Tracking [items <= n]
-   items (instead of the full n² gossip state) is what keeps a
-   million-vertex simulation in memory proportional to state: items
-   defaults to n, making the engine bit-for-bit equivalent to
-   {!Engine} on small instances, while items = 64 at n = 10^6 needs
-   ~8 MB instead of ~125 GB. *)
+   contiguous vertex blocks by worker domains.  This is the repository's
+   only round kernel: [Engine], [Stats], [Faults] and [Certifier] all
+   drive it.  Tracking [items <= n] items (instead of the full n² gossip
+   state) is what keeps a million-vertex simulation in memory
+   proportional to state: items defaults to n, exact gossip, while
+   items = 64 at n = 10^6 needs ~8 MB instead of ~125 GB. *)
 
 let bits_per_word = 63
 
@@ -29,8 +29,7 @@ let create ?items n =
   in
   let words = max 1 ((items + bits_per_word - 1) / bits_per_word) in
   let st = { n; items; words; state = Array.make (max 1 (n * words)) 0; known = 0 } in
-  (* vertex v starts knowing item v — exactly the engine's initial state,
-     restricted to the first [items] items *)
+  (* vertex v starts knowing item v, for the first [items] items *)
   for v = 0 to items - 1 do
     st.state.((v * words) + (v / bits_per_word)) <-
       1 lsl (v mod bits_per_word)
@@ -60,7 +59,16 @@ let popcount x =
   let rec go acc x = if x = 0 then acc else go (acc + 1) (x land (x - 1)) in
   go 0 x
 
-(* One vertex block of one round, in place.  A round is a matching, so a
+let known_by st v =
+  if v < 0 || v >= st.n then invalid_arg "Chunked.known_by: vertex out of range";
+  let acc = ref 0 in
+  for w = v * st.words to ((v + 1) * st.words) - 1 do
+    acc := !acc + popcount st.state.(w)
+  done;
+  !acc
+
+(* One vertex block of one round, in place; [sender v] is the vertex
+   transmitting to [v] this round, or [-1].  A round is a matching, so a
    sender is never also a receiver except through a full-duplex exchange:
    - exchange (sender v = x and sender x = v): owned by the lower
      endpoint, which writes the shared union to both sides — identical to
@@ -70,13 +78,13 @@ let popcount x =
      v |= x in place is race-free.
    Returns the number of newly-set bits; the cross-block sum is an exact
    integer, so results are identical for any worker count. *)
-let block_delta st sched round lo hi =
+let block_delta st sender lo hi =
   let words = st.words and state = st.state in
   let delta = ref 0 in
   for v = lo to hi - 1 do
-    let x = Schedule.sender sched round v in
+    let x = sender v in
     if x >= 0 && x < st.n && x <> v then
-      if Schedule.sender sched round x = v then begin
+      if sender x = v then begin
         if v < x then begin
           let dv = v * words and dx = x * words in
           for w = 0 to words - 1 do
@@ -107,7 +115,7 @@ let block_delta st sched round lo hi =
   done;
   !delta
 
-let apply_round ?domains st sched round =
+let apply_senders ?domains st sender =
   let workers =
     match domains with
     | Some d -> max 1 d
@@ -120,10 +128,22 @@ let apply_round ?domains st sched round =
     Parallel.reduce ?domains nblocks
       (fun b ->
         let lo = b * st.n / nblocks and hi = (b + 1) * st.n / nblocks in
-        block_delta st sched round lo hi)
+        block_delta st sender lo hi)
       ( + ) 0
   in
   st.known <- st.known + delta
+
+let apply_round ?domains st sched round =
+  apply_senders ?domains st (Schedule.round_sender sched round)
+
+(* One receiver->sender table for the whole run: each round writes its
+   arcs' senders in, and wipes them again after the kernel has read them. *)
+let arc_applier st =
+  let senders = Array.make (max 1 st.n) (-1) in
+  fun arcs ->
+    List.iter (fun (x, y) -> senders.(y) <- x) arcs;
+    apply_senders ~domains:1 st (Array.get senders);
+    List.iter (fun (_, y) -> senders.(y) <- -1) arcs
 
 type checkpoint = {
   round : int;

@@ -1,17 +1,19 @@
-(** Chunked blockwise simulation over implicit schedules.
+(** Chunked blockwise simulation: the repository's one round kernel.
 
-    The materialized {!Engine} keeps one bitset per processor over all
-    [n] items — n² bits, ~125 GB at a million vertices.  This engine
-    scales by tracking the dissemination of the first [items <= n]
-    items only, in one contiguous word array processed blockwise in
-    parallel: memory stays proportional to simulation state
-    ([n·items] bits), and rounds come from a {!Gossip_protocol.Schedule}
-    sender function, so nothing per-round is ever materialized either.
+    Knowledge lives in one contiguous word array — [words] machine words
+    of item bits per vertex — processed blockwise in parallel.  Rounds
+    come in as receiver→sender tables ({!apply_senders}): from a
+    {!Gossip_protocol.Schedule} sender function ({!apply_round}), so
+    nothing per-round is ever materialized, or from an explicit arc list
+    ({!arc_applier}).  {!Engine}, {!Stats}, {!Faults} and {!Certifier}
+    are front ends over this kernel.
 
-    With [items = n] the semantics are bit-for-bit those of {!Engine}
-    (the equivalence property the tests pin); with [items = 1] a run is
-    a broadcast of item 0; small [items] (e.g. 64) is the scaling
-    configuration.  Rounds are applied in place: a matching's only
+    With [items = n] (the default) the state is exact gossip: every
+    vertex's full item set.  To scale, a run can track the dissemination
+    of the first [items <= n] items only: memory stays proportional to
+    [n·items] bits, so [items = 64] at a million vertices needs ~8 MB
+    where the full n² state would need ~125 GB; [items = 1] is a
+    broadcast of item 0.  Rounds are applied in place: a matching's only
     same-round feedback is a full-duplex exchange, which the owning
     block writes atomically with the shared union of both sides, so the
     result is identical to start-of-round-snapshot semantics and
@@ -33,20 +35,38 @@ val items : state -> int
 val items_known : state -> int
 
 (** [knows st v i] — does vertex [v] currently know item [i]?  Items
-    beyond the tracked range are reported unknown. *)
+    beyond the tracked range are reported unknown.
+    @raise Invalid_argument unless [0 <= v < n]. *)
 val knows : state -> int -> int -> bool
 
+(** [known_by st v] is the number of tracked items vertex [v] knows.
+    @raise Invalid_argument unless [0 <= v < n]. *)
+val known_by : state -> int -> int
+
 (** [coverage st] is [items_known / (n · items)] (1.0 when the state is
-    empty) — the chunked analogue of {!Engine} coverage. *)
+    empty). *)
 val coverage : state -> float
 
 (** [complete st] — every vertex knows every tracked item. *)
 val complete : state -> bool
 
-(** [apply_round ?domains st sched round] executes (absolute) round
-    [round] of [sched] on [st], blockwise over the worker domains
-    (default {!Gossip_util.Parallel.recommended_domains}). *)
+(** [apply_senders ?domains st sender] executes one round given as its
+    receiver→sender table — [sender v] is the vertex transmitting to [v],
+    or [-1] — on [st], blockwise over the worker domains (default
+    {!Gossip_util.Parallel.recommended_domains}).  The round must be a
+    matching; [sender] must be pure and safe to call from any domain. *)
+val apply_senders : ?domains:int -> state -> (int -> int) -> unit
+
+(** [apply_round ?domains st sched round] is {!apply_senders} over
+    [Schedule.round_sender sched round]: (absolute) round [round] of
+    [sched]. *)
 val apply_round : ?domains:int -> state -> Gossip_protocol.Schedule.t -> int -> unit
+
+(** [arc_applier st] is a function that executes one round given as an
+    arc list (a matching) on [st], on one domain.  It fills and wipes one
+    receiver→sender table allocated here, so a run of explicit rounds
+    allocates no table per round. *)
+val arc_applier : state -> Gossip_protocol.Protocol.round -> unit
 
 (** A streamed progress sample: the deterministic coverage curve
     ([round], [coverage] — identical at every worker count) plus the

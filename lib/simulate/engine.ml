@@ -1,79 +1,6 @@
-module Bitset = Gossip_util.Bitset
 module Protocol = Gossip_protocol.Protocol
+module Schedule = Gossip_protocol.Schedule
 module Systolic = Gossip_protocol.Systolic
-
-(* Knowledge plus the reusable round scratch: generation-stamped marks
-   replace the per-round hashtables the engine used to allocate, and a
-   pool of snapshot buffers is blitted into instead of copied afresh.
-   [known] counts set (vertex, item) bits incrementally so coverage is
-   O(1) per query instead of a full state rescan. *)
-type state = {
-  n : int;
-  know : Bitset.t array;
-  mutable known : int;
-  mutable gen : int;
-  recv_gen : int array;
-  snap_gen : int array;
-  snap_slot : int array;
-  mutable pool : Bitset.t array;
-}
-
-let initial_state n =
-  {
-    n;
-    know = Array.init n (fun v -> Bitset.singleton n v);
-    known = n;
-    gen = 0;
-    recv_gen = Array.make n 0;
-    snap_gen = Array.make n 0;
-    snap_slot = Array.make n 0;
-    pool = [||];
-  }
-
-let knowledge st v = st.know.(v)
-let items_known st = st.known
-
-(* Fraction of the n² (vertex, item) pairs already known; guarded so the
-   degenerate empty network reports full coverage instead of dividing by
-   zero.  Single source of truth for every coverage figure below. *)
-let coverage_of st =
-  if st.n = 0 then 1.0
-  else float_of_int st.known /. float_of_int (st.n * st.n)
-
-let all_complete st = st.known = st.n * st.n
-
-let grow_pool st =
-  let old = Array.length st.pool in
-  let fresh = Array.init (max 4 old) (fun _ -> Bitset.create st.n) in
-  st.pool <- Array.append st.pool fresh
-
-let apply_round st round =
-  (* A round is a matching, so a vertex receives from at most one sender;
-     the only same-round feedback is a full-duplex exchange (both opposite
-     arcs active), which needs start-of-round snapshots of both sides.  We
-     snapshot a sender only when it also appears as a receiver. *)
-  st.gen <- st.gen + 1;
-  let gen = st.gen in
-  List.iter (fun (_, y) -> st.recv_gen.(y) <- gen) round;
-  let used = ref 0 in
-  List.iter
-    (fun (x, _) ->
-      if st.recv_gen.(x) = gen && st.snap_gen.(x) <> gen then begin
-        if !used >= Array.length st.pool then grow_pool st;
-        Bitset.blit ~src:st.know.(x) ~dst:st.pool.(!used);
-        st.snap_slot.(x) <- !used;
-        st.snap_gen.(x) <- gen;
-        incr used
-      end)
-    round;
-  List.iter
-    (fun (x, y) ->
-      let src =
-        if st.snap_gen.(x) = gen then st.pool.(st.snap_slot.(x))
-        else st.know.(x)
-      in
-      st.known <- st.known + Bitset.union_into_count ~src ~dst:st.know.(y))
-    round
 
 type outcome = {
   completed_at : int option;
@@ -83,45 +10,51 @@ type outcome = {
 
 let run_protocol p =
   let n = Gossip_topology.Digraph.n_vertices (Protocol.graph p) in
-  let st = initial_state n in
+  let st = Chunked.create n in
+  let apply = Chunked.arc_applier st in
   let completed = ref None in
   let i = ref 0 in
   let total = Protocol.length p in
   while !completed = None && !i < total do
-    apply_round st (Protocol.round p !i);
+    apply (Protocol.round p !i);
     incr i;
-    if all_complete st then completed := Some !i
+    if Chunked.complete st then completed := Some !i
   done;
-  { completed_at = !completed; rounds_run = !i; coverage = coverage_of st }
+  { completed_at = !completed; rounds_run = !i; coverage = Chunked.coverage st }
 
 let default_cap p =
   let n = Gossip_topology.Digraph.n_vertices (Systolic.graph p) in
   (8 * Systolic.period p * n) + 64
 
-let run_until ?probe ~cap ~done_ p =
-  let n = Gossip_topology.Digraph.n_vertices (Systolic.graph p) in
-  let st = initial_state n in
+let run_until ?probe ?cap ~done_ p =
+  let cap = match cap with Some c -> c | None -> default_cap p in
+  let sched = Schedule.of_systolic p in
+  let st = Chunked.create (Schedule.n_vertices sched) in
   let result = ref None in
   let i = ref 0 in
   while !result = None && !i < cap do
-    apply_round st (Systolic.period_round p !i);
+    (* one domain: runs are short, and the server's worker pool already
+       runs them side by side *)
+    Chunked.apply_round ~domains:1 st sched !i;
     incr i;
     (match probe with
-    | Some f -> f ~round:!i ~coverage:(coverage_of st)
+    | Some f -> f ~round:!i ~coverage:(Chunked.coverage st)
     | None -> ());
     if done_ st then result := Some !i
   done;
   !result
 
-let gossip_time ?probe ?cap p =
-  let cap = match cap with Some c -> c | None -> default_cap p in
-  run_until ?probe ~cap ~done_:all_complete p
+let gossip_time ?probe ?cap p = run_until ?probe ?cap ~done_:Chunked.complete p
 
 let broadcast_time ?probe ?cap p ~src =
-  let cap = match cap with Some c -> c | None -> default_cap p in
-  run_until ?probe ~cap
-    ~done_:(fun st -> Array.for_all (fun s -> Bitset.mem s src) st.know)
-    p
+  let n = Gossip_topology.Digraph.n_vertices (Systolic.graph p) in
+  if src < 0 || src >= n then
+    invalid_arg "Engine.broadcast_time: src out of range";
+  let everyone_knows st =
+    let rec go v = v >= n || (Chunked.knows st v src && go (v + 1)) in
+    go 0
+  in
+  run_until ?probe ?cap ~done_:everyone_knows p
 
 type run = { time : int option; curve : float array }
 
@@ -140,10 +73,3 @@ let gossip_run ?cap p =
     Instrument.span "simulate.gossip-run" (fun () -> gossip_time ~probe ?cap p)
   in
   { time; curve = Array.of_list (List.rev !curve) }
-
-let per_round_coverage p ~rounds =
-  let n = Gossip_topology.Digraph.n_vertices (Systolic.graph p) in
-  let st = initial_state n in
-  Array.init rounds (fun i ->
-      apply_round st (Systolic.period_round p i);
-      coverage_of st)

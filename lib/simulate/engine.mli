@@ -10,30 +10,12 @@
 
     Gossip completes at the first round after which every processor knows
     every item; broadcast from [src] completes when every processor knows
-    [src]'s item. *)
+    [src]'s item.
 
-type state
-(** Mutable knowledge state: one {!Gossip_util.Bitset} per processor. *)
-
-(** [initial_state n] — processor [v] knows exactly item [v]. *)
-val initial_state : int -> state
-
-(** [knowledge st v] is the (live, do not mutate) item set of [v]. *)
-val knowledge : state -> int -> Gossip_util.Bitset.t
-
-(** [items_known st] is the total count of (processor, item) pairs,
-    maintained incrementally — O(1), never a state rescan. *)
-val items_known : state -> int
-
-(** [all_complete st] — every processor knows every item. *)
-val all_complete : state -> bool
-
-(** [apply_round st round] executes one matching synchronously, mutating
-    [st].  The round must be a valid matching (sender sets are snapshotted
-    only where an exchange demands it).  Steady state allocates nothing:
-    marks and snapshot buffers are scratch owned by [st] and reused across
-    rounds. *)
-val apply_round : state -> Gossip_protocol.Protocol.round -> unit
+    This module is the front end for explicit protocols: every run
+    drives a {!Chunked} state at [items = n] on one domain, systolic
+    protocols through {!Gossip_protocol.Schedule.of_systolic} and finite
+    ones round by round through {!Chunked.arc_applier}. *)
 
 (** Result of running a protocol to completion or exhaustion. *)
 type outcome = {
@@ -47,9 +29,14 @@ type outcome = {
     reports the earliest completion round. *)
 val run_protocol : Gossip_protocol.Protocol.t -> outcome
 
+(** [default_cap p] is [8·s·n + 64] for an [s]-systolic protocol on [n]
+    processors: the round budget of {!gossip_time}, {!broadcast_time}
+    and the {!Stats} horizons when no cap is given. *)
+val default_cap : Gossip_protocol.Systolic.t -> int
+
 (** [gossip_time ?probe ?cap p] expands the systolic protocol [p] until
     gossip completes and returns the number of rounds, or [None] if still
-    incomplete after [cap] rounds (default [8·s·n + 64]).  [probe], when
+    incomplete after [cap] rounds (default {!default_cap}).  [probe], when
     given, observes every executed round (1-based) together with the
     coverage — the fraction of the [n²] (processor, item) pairs known
     after it — without perturbing the run. *)
@@ -60,7 +47,8 @@ val gossip_time :
   int option
 
 (** [broadcast_time ?probe ?cap p ~src] — rounds until everyone knows
-    [src]'s item under systolic protocol [p]. *)
+    [src]'s item under systolic protocol [p].
+    @raise Invalid_argument unless [0 <= src < n]. *)
 val broadcast_time :
   ?probe:(round:int -> coverage:float -> unit) ->
   ?cap:int ->
@@ -78,8 +66,3 @@ type run = { time : int option; curve : float array }
     round streams an ["engine.round"] JSONL event carrying its coverage.
     Backs [gossip_lab simulate --json]. *)
 val gossip_run : ?cap:int -> Gossip_protocol.Systolic.t -> run
-
-(** [per_round_coverage p ~rounds] runs [rounds] rounds of the systolic
-    protocol and returns the coverage fraction after each round — the
-    dissemination curve used by the examples. *)
-val per_round_coverage : Gossip_protocol.Systolic.t -> rounds:int -> float array

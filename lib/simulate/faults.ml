@@ -91,21 +91,26 @@ let decider p model rng =
         not !good),
         [] )
 
+(* the round budget of a faulted run: drops stretch dissemination, so
+   it allows twice {!Engine.default_cap}'s rounds per period *)
+let default_cap p =
+  let n = Gossip_topology.Digraph.n_vertices (Systolic.graph p) in
+  (16 * Systolic.period p * n) + 64
+
 let run ?cap p ~model ~seed =
   validate_model model;
-  let g = Systolic.graph p in
-  let n = Gossip_topology.Digraph.n_vertices g in
-  let cap =
-    match cap with Some c -> c | None -> (16 * Systolic.period p * n) + 64
-  in
+  let n = Gossip_topology.Digraph.n_vertices (Systolic.graph p) in
+  let cap = match cap with Some c -> c | None -> default_cap p in
   let rng = Prng.create seed in
   let drop_arc, failed_arcs = decider p model rng in
-  let st = Engine.initial_state n in
+  let st = Chunked.create n in
+  let apply = Chunked.arc_applier st in
   let drops = ref 0 and activations = ref 0 in
   let completed = ref None in
   let i = ref 0 in
   while !completed = None && !i < cap do
-    let round = Systolic.period_round p !i in
+    (* filter arc by arc, in round order: the seeded deciders draw per
+       activation, so this order is part of every seed's outcome *)
     let surviving =
       List.filter
         (fun arc ->
@@ -115,13 +120,12 @@ let run ?cap p ~model ~seed =
             false
           end
           else true)
-        round
+        (Systolic.period_round p !i)
     in
-    (* dropping arcs from a matching keeps it a matching, so the
-       synchronous engine applies unchanged *)
-    Engine.apply_round st surviving;
+    (* dropping arcs from a matching keeps it a matching *)
+    apply surviving;
     incr i;
-    if Engine.all_complete st then completed := Some !i
+    if Chunked.complete st then completed := Some !i
   done;
   {
     completed_at = !completed;
@@ -164,8 +168,6 @@ let implicit_gossip ?domains ?cap ?checkpoint_every ?items sched
   (st, Chunked.run ?domains ?cap ?checkpoint_every st sched)
 
 let gossip_time_with_faults ?cap p ~drop_probability ~seed =
-  if drop_probability < 0.0 || drop_probability > 1.0 then
-    invalid_arg "Faults: drop_probability must be in [0, 1]";
   run ?cap p ~model:(Iid { p = drop_probability }) ~seed
 
 type slowdown_point = {
@@ -174,30 +176,6 @@ type slowdown_point = {
   completed : int;
   trials : int;
 }
-
-let slowdown_curve ?cap ?(trials = 5) p ~probabilities ~seed =
-  List.map
-    (fun prob ->
-      let times = ref [] in
-      for t = 1 to trials do
-        match
-          gossip_time_with_faults ?cap p ~drop_probability:prob
-            ~seed:(seed + (t * 7919))
-        with
-        | { completed_at = Some time; _ } -> times := time :: !times
-        | { completed_at = None; _ } -> ()
-      done;
-      let completed = List.length !times in
-      let mean =
-        match !times with
-        | [] -> None
-        | ts ->
-            Some
-              (float_of_int (List.fold_left ( + ) 0 ts)
-              /. float_of_int completed)
-      in
-      { probability = prob; mean; completed; trials })
-    probabilities
 
 let point_to_json pt =
   let module J = Gossip_util.Json in
@@ -219,14 +197,8 @@ type curve_point = {
 
 let curve ?cap ?(trials = 5) p ~models ~seed =
   (* resolve the default cap here so every point records the round budget
-     it actually ran under (run's default, made explicit) *)
-  let cap =
-    match cap with
-    | Some c -> c
-    | None ->
-        let n = Gossip_topology.Digraph.n_vertices (Systolic.graph p) in
-        (16 * Systolic.period p * n) + 64
-  in
+     it actually ran under *)
+  let cap = match cap with Some c -> c | None -> default_cap p in
   List.map
     (fun model ->
       let times = ref [] in
@@ -247,6 +219,16 @@ let curve ?cap ?(trials = 5) p ~models ~seed =
       { cp_model = model; cp_mean = mean; cp_completed = completed;
         cp_trials = trials; cp_cap = cap })
     models
+
+let slowdown_curve ?cap ?trials p ~probabilities ~seed =
+  List.map2
+    (fun probability pt ->
+      { probability; mean = pt.cp_mean; completed = pt.cp_completed;
+        trials = pt.cp_trials })
+    probabilities
+    (curve ?cap ?trials p
+       ~models:(List.map (fun p -> Iid { p }) probabilities)
+       ~seed)
 
 let model_params_json model =
   let module J = Gossip_util.Json in

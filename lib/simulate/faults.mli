@@ -104,8 +104,9 @@ type slowdown_point = {
   trials : int;  (** trials attempted *)
 }
 
-(** [slowdown_curve ?cap ?trials p ~probabilities ~seed] — one
-    {!slowdown_point} per drop probability ([trials] defaults to 5). *)
+(** [slowdown_curve ?cap ?trials p ~probabilities ~seed] is {!curve}
+    over [Iid] models: one {!slowdown_point} per drop probability
+    ([trials] defaults to 5). *)
 val slowdown_curve :
   ?cap:int ->
   ?trials:int ->

@@ -1,22 +1,26 @@
-module Bitset = Gossip_util.Bitset
+module Schedule = Gossip_protocol.Schedule
 module Systolic = Gossip_protocol.Systolic
 
+(* Every statistic runs the protocol on the Chunked kernel at items = n,
+   one domain, exactly as [Engine] does. *)
+let start p =
+  let sched = Schedule.of_systolic p in
+  (sched, Chunked.create (Schedule.n_vertices sched))
+
 let arrival_times p ~horizon =
-  let n = Gossip_topology.Digraph.n_vertices (Systolic.graph p) in
+  let sched, st = start p in
+  let n = Schedule.n_vertices sched in
   let arrival = Array.make_matrix n n max_int in
   for v = 0 to n - 1 do
     arrival.(v).(v) <- 0
   done;
-  let st = Engine.initial_state n in
   let round = ref 0 in
-  let complete () = Engine.all_complete st in
-  while !round < horizon && not (complete ()) do
-    Engine.apply_round st (Systolic.period_round p !round);
+  while !round < horizon && not (Chunked.complete st) do
+    Chunked.apply_round ~domains:1 st sched !round;
     incr round;
     for v = 0 to n - 1 do
-      let know = Engine.knowledge st v in
       for item = 0 to n - 1 do
-        if arrival.(item).(v) = max_int && Bitset.mem know item then
+        if arrival.(item).(v) = max_int && Chunked.knows st v item then
           arrival.(item).(v) <- !round
       done
     done
@@ -34,9 +38,7 @@ type summary = {
 let summarize ?horizon p =
   let n = Gossip_topology.Digraph.n_vertices (Systolic.graph p) in
   let horizon =
-    match horizon with
-    | Some h -> h
-    | None -> (8 * Systolic.period p * n) + 64
+    match horizon with Some h -> h | None -> Engine.default_cap p
   in
   let arrival = arrival_times p ~horizon in
   let broadcast_times =
@@ -68,12 +70,11 @@ let summarize ?horizon p =
   }
 
 let newly_informed p ~horizon =
-  let n = Gossip_topology.Digraph.n_vertices (Systolic.graph p) in
-  let st = Engine.initial_state n in
-  let prev = ref (Engine.items_known st) in
+  let sched, st = start p in
+  let prev = ref (Chunked.items_known st) in
   Array.init horizon (fun i ->
-      Engine.apply_round st (Systolic.period_round p i);
-      let now = Engine.items_known st in
+      Chunked.apply_round ~domains:1 st sched i;
+      let now = Chunked.items_known st in
       let delta = now - !prev in
       prev := now;
       delta)
@@ -81,23 +82,20 @@ let newly_informed p ~horizon =
 type message_costs = { transmissions : int; useful : int; rounds : int }
 
 let message_complexity ?horizon p =
-  let n = Gossip_topology.Digraph.n_vertices (Systolic.graph p) in
   let horizon =
-    match horizon with Some h -> h | None -> (8 * Systolic.period p * n) + 64
+    match horizon with Some h -> h | None -> Engine.default_cap p
   in
-  let st = Engine.initial_state n in
+  let sched, st = start p in
   let transmissions = ref 0 and useful = ref 0 in
   let rounds = ref 0 in
-  while !rounds < horizon && not (Engine.all_complete st) do
+  while !rounds < horizon && not (Chunked.complete st) do
     let round = Systolic.period_round p !rounds in
-    let before =
-      List.map (fun (_, y) -> Bitset.cardinal (Engine.knowledge st y)) round
-    in
-    Engine.apply_round st round;
+    let before = List.map (fun (_, y) -> Chunked.known_by st y) round in
+    Chunked.apply_round ~domains:1 st sched !rounds;
     List.iter2
       (fun (_, y) b ->
         incr transmissions;
-        if Bitset.cardinal (Engine.knowledge st y) > b then incr useful)
+        if Chunked.known_by st y > b then incr useful)
       round before;
     incr rounds
   done;

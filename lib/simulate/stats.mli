@@ -22,7 +22,7 @@ type summary = {
 }
 
 (** [summarize ?horizon p] computes the summary (default horizon =
-    {!Gossip_simulate.Engine} default cap). *)
+    {!Engine.default_cap}). *)
 val summarize : ?horizon:int -> Gossip_protocol.Systolic.t -> summary
 
 (** [newly_informed p ~horizon] — for each executed round, how many

@@ -5,7 +5,6 @@
 open Gossip_topology
 open Gossip_protocol
 open Gossip_simulate
-module Bitset = Gossip_util.Bitset
 module Json = Gossip_util.Json
 
 let check = Alcotest.(check bool)
@@ -13,50 +12,46 @@ let check_int = Alcotest.(check int)
 
 let get = function Some x -> x | None -> Alcotest.fail "expected completion"
 
+(* [items_of st v] — the items [v] knows, ascending. *)
+let items_of st v =
+  List.filter (Chunked.knows st v) (List.init (Chunked.items st) Fun.id)
+
 let test_initial_state () =
-  let st = Engine.initial_state 4 in
-  check_int "items known initially" 4 (Engine.items_known st);
+  let st = Chunked.create 4 in
+  check_int "items known initially" 4 (Chunked.items_known st);
   check "each knows own item" true
-    (List.for_all
-       (fun v -> Bitset.mem (Engine.knowledge st v) v)
-       [ 0; 1; 2; 3 ]);
-  check "knows nothing else" false (Bitset.mem (Engine.knowledge st 0) 1);
-  check "not complete" false (Engine.all_complete st)
+    (List.for_all (fun v -> items_of st v = [ v ]) [ 0; 1; 2; 3 ]);
+  check "knows nothing else" false (Chunked.knows st 0 1);
+  check "not complete" false (Chunked.complete st)
 
 let test_apply_round_directed () =
-  let st = Engine.initial_state 3 in
-  Engine.apply_round st [ (0, 1) ];
-  check "1 learned 0" true (Bitset.mem (Engine.knowledge st 1) 0);
-  check "0 learned nothing" false (Bitset.mem (Engine.knowledge st 0) 1);
-  Engine.apply_round st [ (1, 2) ];
-  check "2 learned both" true
-    (Bitset.mem (Engine.knowledge st 2) 0 && Bitset.mem (Engine.knowledge st 2) 1)
+  let st = Chunked.create 3 in
+  let apply = Chunked.arc_applier st in
+  apply [ (0, 1) ];
+  check "1 learned 0" true (Chunked.knows st 1 0);
+  check "0 learned nothing" false (Chunked.knows st 0 1);
+  apply [ (1, 2) ];
+  check "2 learned both" true (Chunked.knows st 2 0 && Chunked.knows st 2 1)
 
 let test_apply_round_exchange_snapshots () =
   (* full-duplex exchange must swap start-of-round knowledge, not leak
      within-round updates *)
-  let st = Engine.initial_state 2 in
-  Engine.apply_round st [ (0, 1); (1, 0) ];
-  check "both complete after one exchange" true (Engine.all_complete st);
+  let st = Chunked.create 2 in
+  Chunked.arc_applier st [ (0, 1); (1, 0) ];
+  check "both complete after one exchange" true (Chunked.complete st);
   (* three vertices: chain of two exchanges in successive rounds *)
-  let st = Engine.initial_state 3 in
-  Engine.apply_round st [ (0, 1); (1, 0) ];
-  check "2 still isolated" true
-    (Bitset.cardinal (Engine.knowledge st 2) = 1)
+  let st = Chunked.create 3 in
+  Chunked.arc_applier st [ (0, 1); (1, 0) ];
+  check "2 still isolated" true (Chunked.known_by st 2 = 1)
 
 let test_snapshot_needed_case () =
-  (* round (0->1) and (1->2) is NOT a matching, but apply_round must still
-     be correct for matchings where a sender is also a receiver only via
-     the opposite arc; verify the snapshot logic using a full-duplex pair
-     plus observer *)
-  let st = Engine.initial_state 4 in
-  Engine.apply_round st [ (0, 1); (1, 0); (2, 3) ];
-  check "0 has {0,1}" true
-    (Bitset.elements (Engine.knowledge st 0) = [ 0; 1 ]);
-  check "1 has {0,1}" true
-    (Bitset.elements (Engine.knowledge st 1) = [ 0; 1 ]);
-  check "3 has {2,3}" true
-    (Bitset.elements (Engine.knowledge st 3) = [ 2; 3 ])
+  (* a sender is also a receiver only via the opposite arc of a
+     full-duplex exchange; check the exchange next to an observer arc *)
+  let st = Chunked.create 4 in
+  Chunked.arc_applier st [ (0, 1); (1, 0); (2, 3) ];
+  check "0 has {0,1}" true (items_of st 0 = [ 0; 1 ]);
+  check "1 has {0,1}" true (items_of st 1 = [ 0; 1 ]);
+  check "3 has {2,3}" true (items_of st 3 = [ 2; 3 ])
 
 let test_run_protocol () =
   let g = Families.path 3 in
@@ -91,21 +86,22 @@ let test_items_known_incremental () =
   let recount st n =
     let acc = ref 0 in
     for v = 0 to n - 1 do
-      acc := !acc + Bitset.cardinal (Engine.knowledge st v)
+      acc := !acc + List.length (items_of st v)
     done;
     !acc
   in
   let sys = Builders.edge_coloring_full_duplex (Families.kautz 2 3) in
   let n = Digraph.n_vertices (Systolic.graph sys) in
-  let st = Engine.initial_state n in
+  let st = Chunked.create n in
+  let apply = Chunked.arc_applier st in
   for i = 0 to 29 do
-    Engine.apply_round st (Systolic.period_round sys i);
+    apply (Systolic.period_round sys i);
     check_int
       (Printf.sprintf "incremental = rescan after round %d" i)
-      (recount st n) (Engine.items_known st)
+      (recount st n) (Chunked.items_known st)
   done;
   check "complete iff count says so" true
-    (Engine.all_complete st = (Engine.items_known st = n * n))
+    (Chunked.complete st = (Chunked.items_known st = n * n))
 
 let test_gossip_cap () =
   (* a protocol that never completes: only one edge of the path ever used *)
@@ -135,16 +131,29 @@ let test_broadcast_vs_gossip () =
       Builders.edge_coloring_half_duplex (Families.complete_dary_tree 2 3);
     ]
 
-let test_per_round_coverage_monotone () =
+let test_broadcast_src_out_of_range () =
+  let sys = Builders.cycle_rotate 8 in
+  List.iter
+    (fun src ->
+      Alcotest.check_raises
+        (Printf.sprintf "src %d" src)
+        (Invalid_argument "Engine.broadcast_time: src out of range")
+        (fun () -> ignore (Engine.broadcast_time sys ~src)))
+    [ -1; 8; 100 ]
+
+let test_gossip_run_coverage_monotone () =
   let sys = Builders.edge_coloring_half_duplex (Families.grid 3 3) in
-  let cov = Engine.per_round_coverage sys ~rounds:40 in
+  let run = Engine.gossip_run sys in
+  let cov = run.Engine.curve in
   let ok = ref true in
   for i = 1 to Array.length cov - 1 do
     if cov.(i) < cov.(i - 1) -. 1e-12 then ok := false
   done;
   check "coverage monotone" true !ok;
+  check "one point per round" true
+    (run.Engine.time = Some (Array.length cov));
   check "starts above 1/n" true (cov.(0) >= 1.0 /. 9.0);
-  check "ends complete" true (cov.(39) = 1.0)
+  check "ends complete" true (cov.(Array.length cov - 1) = 1.0)
 
 (* --- Faults --- *)
 
@@ -554,13 +563,14 @@ let prop_knowledge_monotone =
           ~density:0.8
       in
       let n = Digraph.n_vertices g in
-      let st = Engine.initial_state n in
+      let st = Chunked.create n in
+      let apply = Chunked.arc_applier st in
       let ok = ref true in
       for i = 0 to (4 * period) - 1 do
-        let before = Array.init n (fun v -> Bitset.copy (Engine.knowledge st v)) in
-        Engine.apply_round st (Systolic.period_round sys i);
+        let before = Array.init n (items_of st) in
+        apply (Systolic.period_round sys i);
         for v = 0 to n - 1 do
-          if not (Bitset.subset before.(v) (Engine.knowledge st v)) then
+          if not (List.for_all (Chunked.knows st v) before.(v)) then
             ok := false
         done
       done;
@@ -595,15 +605,16 @@ let prop_items_bounded_by_activations =
         Builders.random_systolic g Protocol.Half_duplex ~period:4 ~seed
           ~density:1.0
       in
-      let st = Engine.initial_state n in
+      let st = Chunked.create n in
+      let apply = Chunked.arc_applier st in
       let budget = ref 0 in
       let ok = ref true in
       for i = 0 to 19 do
         let round = Systolic.period_round sys i in
         (* each arc (x,y) can add at most |know(x)| <= n items *)
         budget := !budget + (List.length round * n);
-        Engine.apply_round st round;
-        if Engine.items_known st > n + !budget then ok := false
+        apply round;
+        if Chunked.items_known st > n + !budget then ok := false
       done;
       !ok)
 
@@ -620,7 +631,8 @@ let suite =
     ("items_known incremental", `Quick, test_items_known_incremental);
     ("gossip cap", `Quick, test_gossip_cap);
     ("broadcast vs gossip vs diameter", `Quick, test_broadcast_vs_gossip);
-    ("coverage monotone", `Quick, test_per_round_coverage_monotone);
+    ("broadcast src out of range", `Quick, test_broadcast_src_out_of_range);
+    ("coverage monotone", `Quick, test_gossip_run_coverage_monotone);
     ("faults p=0 baseline", `Quick, test_faults_p0_matches_baseline);
     ("faults p=1 stalls", `Quick, test_faults_p1_never_completes);
     ("faults deterministic", `Quick, test_faults_deterministic);

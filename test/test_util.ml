@@ -1,84 +1,10 @@
-(* Unit and property tests for Gossip_util: bitsets, PRNG, numeric
-   solvers, table rendering. *)
+(* Unit and property tests for Gossip_util: PRNG, numeric solvers,
+   table rendering. *)
 
 open Gossip_util
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-
-(* --- Bitset --- *)
-
-let test_bitset_basic () =
-  let s = Bitset.create 100 in
-  check "empty" true (Bitset.is_empty s);
-  check_int "cardinal 0" 0 (Bitset.cardinal s);
-  Bitset.add s 0;
-  Bitset.add s 63;
-  Bitset.add s 64;
-  Bitset.add s 99;
-  check_int "cardinal 4" 4 (Bitset.cardinal s);
-  check "mem 63" true (Bitset.mem s 63);
-  check "mem 64" true (Bitset.mem s 64);
-  check "not mem 65" false (Bitset.mem s 65);
-  check "not mem out of range" false (Bitset.mem s 1000);
-  Bitset.remove s 63;
-  check "removed" false (Bitset.mem s 63);
-  check_int "cardinal 3" 3 (Bitset.cardinal s)
-
-let test_bitset_bounds () =
-  let s = Bitset.create 10 in
-  Alcotest.check_raises "add out of range"
-    (Invalid_argument "Bitset: element 10 outside universe 10") (fun () ->
-      Bitset.add s 10);
-  Alcotest.check_raises "negative capacity"
-    (Invalid_argument "Bitset.create: negative capacity") (fun () ->
-      ignore (Bitset.create (-1)))
-
-let test_bitset_union () =
-  let a = Bitset.of_list 50 [ 1; 2; 3 ] in
-  let b = Bitset.of_list 50 [ 3; 4; 48 ] in
-  let u = Bitset.union a b in
-  check_int "union cardinal" 5 (Bitset.cardinal u);
-  Alcotest.(check (list int)) "union elements" [ 1; 2; 3; 4; 48 ]
-    (Bitset.elements u);
-  let i = Bitset.inter a b in
-  Alcotest.(check (list int)) "inter elements" [ 3 ] (Bitset.elements i);
-  Bitset.union_into ~src:b ~dst:a;
-  check "in place union" true (Bitset.equal a u)
-
-let test_bitset_full () =
-  let s = Bitset.create 65 in
-  for i = 0 to 64 do
-    Bitset.add s i
-  done;
-  check "full" true (Bitset.is_full s);
-  Bitset.remove s 64;
-  check "not full" false (Bitset.is_full s)
-
-let test_bitset_subset () =
-  let a = Bitset.of_list 20 [ 1; 5 ] in
-  let b = Bitset.of_list 20 [ 1; 5; 9 ] in
-  check "subset" true (Bitset.subset a b);
-  check "not superset" false (Bitset.subset b a);
-  check "copy independent" true
-    (let c = Bitset.copy a in
-     Bitset.add c 2;
-     not (Bitset.mem a 2))
-
-let prop_bitset_roundtrip =
-  QCheck.Test.make ~name:"bitset of_list/elements roundtrip" ~count:200
-    QCheck.(small_list (int_bound 63))
-    (fun xs ->
-      let s = Bitset.of_list 64 xs in
-      Bitset.elements s = List.sort_uniq compare xs)
-
-let prop_bitset_union_card =
-  QCheck.Test.make ~name:"bitset |A∪B| + |A∩B| = |A| + |B|" ~count:200
-    QCheck.(pair (small_list (int_bound 99)) (small_list (int_bound 99)))
-    (fun (xs, ys) ->
-      let a = Bitset.of_list 100 xs and b = Bitset.of_list 100 ys in
-      Bitset.cardinal (Bitset.union a b) + Bitset.cardinal (Bitset.inter a b)
-      = Bitset.cardinal a + Bitset.cardinal b)
 
 (* --- Prng --- *)
 
@@ -371,11 +297,6 @@ let test_instrument_span_exception () =
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
-    ("bitset basic", `Quick, test_bitset_basic);
-    ("bitset bounds", `Quick, test_bitset_bounds);
-    ("bitset union/inter", `Quick, test_bitset_union);
-    ("bitset full detection", `Quick, test_bitset_full);
-    ("bitset subset/copy", `Quick, test_bitset_subset);
     ("prng determinism", `Quick, test_prng_deterministic);
     ("prng bounds", `Quick, test_prng_bounds);
     ("prng shuffle", `Quick, test_prng_shuffle_permutes);
@@ -398,8 +319,6 @@ let suite =
     ("table render", `Quick, test_table_render);
     ("table cells", `Quick, test_table_cells);
     ("table errors", `Quick, test_table_errors);
-    q prop_bitset_roundtrip;
-    q prop_bitset_union_card;
     q prop_brent_vs_bisect;
     q prop_parallel_deterministic;
   ]
