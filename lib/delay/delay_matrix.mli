@@ -23,8 +23,8 @@ val sparse : Delay_digraph.t -> float -> Gossip_linalg.Sparse.t
     [λ^(j-i)] when [1 ≤ j - i < window]. *)
 val vertex_block : Delay_digraph.t -> float -> int -> Gossip_linalg.Dense.t
 
-(** [norm ?options dg lambda] is [‖M(λ)‖] by power iteration on the
-    global sparse matrix. *)
+(** [norm ?options dg lambda] is [‖M(λ)‖] by Lanczos on the Gram
+    operator of the global sparse matrix. *)
 val norm :
   ?options:Gossip_linalg.Spectral.options -> Delay_digraph.t -> float -> float
 

@@ -4,7 +4,7 @@
     column per arc activation of the protocol — up to [t·n/2] of them — but
     each row holds at most [s - 1] nonzeros (the delays within one systolic
     period), so CSR with matrix-vector products is the natural
-    representation for the power iterations that evaluate [‖M(λ)‖]. *)
+    representation for the Krylov iterations that evaluate [‖M(λ)‖]. *)
 
 type t
 

@@ -3,57 +3,135 @@ type options = { tol : float; max_iter : int; seed : int }
 let default_options = { tol = 1e-12; max_iter = 10_000; seed = 42 }
 
 (* Deterministic strictly positive start vector: a positive start is
-   mandatory for Perron-Frobenius convergence on non-negative matrices and
-   harmless for Gram operators. *)
+   mandatory for Perron-Frobenius convergence on non-negative matrices,
+   and it has a component along the Perron vector of a Gram operator
+   MᵀM ≥ 0. *)
 let start_vector options n =
   let rng = Gossip_util.Prng.create options.seed in
   let v = Array.init n (fun _ -> 0.5 +. Gossip_util.Prng.float rng 1.0) in
   ignore (Vec.normalize v);
   v
 
-(* Power iteration for a symmetric positive semidefinite operator given
-   as [gram_into x y], which writes [G·x] into [y]; returns the dominant
-   eigenvalue estimate.  Sweep k normalizes y = G·x to unit length and
-   takes the Rayleigh quotient y·(G·y); G·y is then the next sweep's
-   G·x, so each sweep applies G once.  Two buffers trade roles: [gx]
-   holds G·x on entry to a sweep and becomes y, [gy] receives G·y.
+(* The symmetric tridiagonal T with diagonal [diag.(0..k-1)] and
+   off-diagonal [off.(0..k-2)].  [sturm_count] is the number of its
+   eigenvalues strictly below [x]: the negative pivots of the LDLᵀ
+   factorization of T - xI.  A zero pivot is replaced by a tiny negative
+   one, scaled to the largest off-diagonal entry as LAPACK's [dstebz]
+   does. *)
+let sturm_count ~diag ~off k ~pivmin x =
+  let count = ref 0 and d = ref 1.0 in
+  for i = 0 to k - 1 do
+    let b2 = if i = 0 then 0.0 else off.(i - 1) *. off.(i - 1) in
+    let di = diag.(i) -. x -. (b2 /. !d) in
+    let di = if Float.abs di < pivmin then -.pivmin else di in
+    if di < 0.0 then incr count;
+    d := di
+  done;
+  !count
 
-   The stopping rule — relative change of the quotient below [tol] — is
-   a heuristic, not a certificate.  The quotient approaches the dominant
-   eigenvalue from below, so the value returned is an under-estimate, by
-   more when the top eigenvalues are clustered; and when [max_iter]
-   sweeps run out, the current under-estimate is returned with no
-   warning. *)
+(* The largest eigenvalue of T by bisection on the Sturm count, from the
+   bracket [max_i T_ii, Gershgorin's upper bound] until the interval
+   stops shrinking; returns its upper end. *)
+let tridiagonal_top ~diag ~off k =
+  let lo = ref neg_infinity and hi = ref neg_infinity and bmax2 = ref 0.0 in
+  for i = 0 to k - 1 do
+    let below = if i > 0 then Float.abs off.(i - 1) else 0.0
+    and above = if i < k - 1 then Float.abs off.(i) else 0.0 in
+    lo := Float.max !lo diag.(i);
+    hi := Float.max !hi (diag.(i) +. below +. above);
+    bmax2 := Float.max !bmax2 (above *. above)
+  done;
+  let pivmin = Float.min_float *. Float.max 1.0 !bmax2 in
+  let rec bisect lo hi =
+    let mid = lo +. (0.5 *. (hi -. lo)) in
+    if mid <= lo || mid >= hi then hi
+    else if sturm_count ~diag ~off k ~pivmin mid = k then bisect lo mid
+    else bisect mid hi
+  in
+  bisect !lo !hi
+
+let tridiagonal_top_eigenvalue ~diag ~off =
+  let k = Array.length diag in
+  if Array.length off <> max 0 (k - 1) then
+    invalid_arg "Spectral.tridiagonal_top_eigenvalue: off-diagonal length";
+  if k = 0 then invalid_arg "Spectral.tridiagonal_top_eigenvalue: empty";
+  tridiagonal_top ~diag ~off k
+
+(* |s_k|, the last component of T's unit eigenvector for its eigenvalue
+   [theta]: the recurrence (T - θI)s = 0 solved upward from s_k = 1,
+   rescaled whenever it grows large, then normalized. *)
+let last_component ~diag ~off k theta =
+  let last = ref 1.0 and sumsq = ref 1.0 in
+  let below = ref 1.0 and below2 = ref 0.0 in
+  for i = k - 1 downto 1 do
+    let above = if i < k - 1 then off.(i) *. !below2 else 0.0 in
+    let s = (((theta -. diag.(i)) *. !below) -. above) /. off.(i - 1) in
+    below2 := !below;
+    below := s;
+    sumsq := !sumsq +. (s *. s);
+    if Float.abs s > 1e100 then begin
+      below := !below *. 1e-100;
+      below2 := !below2 *. 1e-100;
+      last := !last *. 1e-100;
+      sumsq := !sumsq *. 1e-200
+    end
+  done;
+  Float.abs !last /. sqrt !sumsq
+
+(* Lanczos on a symmetric positive semidefinite operator given as
+   [gram_into x y], which writes [G·x] into [y]; returns the largest
+   eigenvalue of the tridiagonal T_k = VᵀGV, where V = [v_1 .. v_k] is an
+   orthonormal basis of the Krylov space of [start_vector].  Step k
+   applies G once to v_k, takes α_k = v_kᵀGv_k, and orthogonalizes the
+   product against the whole basis (full reorthogonalization), so V stays
+   orthonormal to rounding and θ = λ_max(T_k) is a Rayleigh–Ritz value:
+   θ ≤ λ_max(G), equal to it to rounding once the Krylov space is
+   exhausted.  The residual's norm β_k becomes v_(k+1)'s scale.
+
+   Stops when k = n, on breakdown (β_k at rounding level relative to θ:
+   the Krylov space is invariant, and holds the top eigenvector because
+   the start has a component along it), when the Ritz residual estimate
+   β_k·|s_k| ≤ tol·θ, or when k = [max_iter], silently.  The basis
+   vectors are allocated as the space grows, at most [min n max_iter]. *)
 let dominant_eig_psd options gram_into n =
-  if n = 0 || options.max_iter < 1 then 0.0
+  let kmax = min n options.max_iter in
+  if kmax < 1 then 0.0
   else begin
-    let gx = ref (Array.make n 0.0) and gy = ref (start_vector options n) in
-    gram_into !gy !gx;
-    let eig = ref 0.0 in
-    (try
-       for _ = 1 to options.max_iter do
-         let y = !gx in
-         let ny = Vec.norm2 y in
-         if ny = 0.0 then begin
-           eig := 0.0;
-           raise Exit
-         end;
-         Vec.scale_into y (1.0 /. ny);
-         gram_into y !gy;
-         let rayleigh = Vec.dot y !gy in
-         if
-           Float.abs (rayleigh -. !eig)
-           <= options.tol *. Float.max 1.0 (Float.abs rayleigh)
-         then begin
-           eig := rayleigh;
-           raise Exit
-         end;
-         eig := rayleigh;
-         gx := !gy;
-         gy := y
-       done
-     with Exit -> ());
-    Float.max 0.0 !eig
+    let basis = Array.make kmax [||] in
+    let alpha = Array.make kmax 0.0 and beta = Array.make kmax 0.0 in
+    let w = Array.make n 0.0 in
+    basis.(0) <- start_vector options n;
+    let rec step k =
+      let v = basis.(k - 1) in
+      gram_into v w;
+      let a = Vec.dot w v in
+      alpha.(k - 1) <- a;
+      Vec.axpy ~alpha:(-.a) v w;
+      if k > 1 then Vec.axpy ~alpha:(-.beta.(k - 2)) basis.(k - 2) w;
+      for j = 0 to k - 1 do
+        let u = basis.(j) in
+        Vec.axpy ~alpha:(-.Vec.dot w u) u w
+      done;
+      let b = Vec.norm2 w in
+      beta.(k - 1) <- b;
+      let theta = tridiagonal_top ~diag:alpha ~off:beta k in
+      if
+        k = kmax
+        || b <= float_of_int n *. epsilon_float *. theta
+        || b *. last_component ~diag:alpha ~off:beta k theta
+           <= options.tol *. theta
+      then theta
+      else begin
+        let next = Array.make n 0.0 in
+        let inv = 1.0 /. b in
+        for i = 0 to n - 1 do
+          next.(i) <- inv *. w.(i)
+        done;
+        basis.(k) <- next;
+        step (k + 1)
+      end
+    in
+    Float.max 0.0 (step 1)
   end
 
 let norm2_of_gram options ~rows ~cols gram_into =

@@ -470,6 +470,60 @@ let test_certificate_below_gossip_time () =
       Builders.edge_coloring_full_duplex (Families.kautz 2 3);
     ]
 
+(* The Theorem 4.1 certificates of the benchmark's ten fixed protocols
+   (perfbench's certify-batch), pinned: gossip time, bound, winning λ,
+   closed form and activation count.  The norm itself is not pinned; it
+   must lie within 1e-12 of the Jacobi reference, and within rounding of
+   the closed form (Lemmas 4.3 / 6.1), which is tight for C16 and P16. *)
+let golden_certificates () =
+  let hd = Builders.edge_coloring_half_duplex
+  and fd = Builders.edge_coloring_full_duplex in
+  [
+    ("Q5 half-duplex sweep", Builders.hypercube_sweep ~dim:5 ~full_duplex:false,
+     (10, 4, 0.3, 0.32966838300000006, 160));
+    ("Q5 full-duplex sweep", Builders.hypercube_sweep ~dim:5 ~full_duplex:true,
+     (5, 3, 0.1, 0.11110000000000002, 160));
+    ("C16 rotate", Builders.cycle_rotate 16, (16, 4, 0.55, 0.7163750000000001, 128));
+    ("P16 wave", Builders.path_wave 16, (31, 4, 0.5, 0.6250000000000001, 233));
+    ("DB(2,4) periodic hd", hd (Families.de_bruijn 2 4),
+     (26, 4, 0.4, 0.47614054400000017, 151));
+    ("K(2,3) periodic hd", hd (Families.kautz 2 3),
+     (17, 3, 0.1, 0.10101010099999998, 74));
+    ("WBF(2,3) periodic hd", hd (Families.wrapped_butterfly 2 3),
+     (21, 4, 0.3, 0.32966838300000006, 202));
+    ("BF(2,3) periodic fd", fd (Families.butterfly 2 3),
+     (9, 3, 0.1, 0.11100000000000002, 224));
+    ("Grid4x4 periodic hd", hd (Families.grid 4 4),
+     (21, 3, 0.1, 0.10101009999999999, 128));
+    ("Tree(2,3) periodic fd", fd (Families.complete_dary_tree 2 3),
+     (14, 3, 0.15000000000000002, 0.17587500000000003, 104));
+  ]
+
+let test_golden_certificates () =
+  List.iter
+    (fun (name, sys, (t, bound, lambda, closed_form, activations)) ->
+      let at what = Printf.sprintf "%s: %s" name what in
+      check_int (at "gossip time") t
+        (Option.get (Gossip_simulate.Engine.gossip_time sys));
+      let dg = Delay_digraph.of_systolic sys ~length:t in
+      let c = Certificate.certify dg ~mode:(Systolic.mode sys) in
+      check_int (at "bound") bound c.Certificate.bound;
+      check (at "lambda") true (c.Certificate.lambda = lambda);
+      check (at "closed form") true (c.Certificate.closed_form = closed_form);
+      check_int (at "activations") activations c.Certificate.activations;
+      let nu = c.Certificate.norm in
+      check (at "norm <= closed form") true
+        (nu <= closed_form *. (1.0 +. 1e-12));
+      let reference = ref 0.0 in
+      for x = 0 to Digraph.n_vertices (Systolic.graph sys) - 1 do
+        reference :=
+          Float.max !reference
+            (Reference_norm.norm2_dense (Delay_matrix.vertex_block dg lambda x))
+      done;
+      check (at "norm = Jacobi reference") true
+        (Float.abs (nu -. !reference) <= 1e-12 *. !reference))
+    (golden_certificates ())
+
 let test_certificate_separator () =
   let d = 2 and dim = 5 in
   let g = Families.de_bruijn_directed d dim in
@@ -625,6 +679,7 @@ let suite =
     ("of_activation_pattern", `Quick, test_of_activation_pattern);
     ("full-duplex local matrix (Fig 7)", `Quick, test_full_duplex_local);
     ("certificates below gossip time", `Quick, test_certificate_below_gossip_time);
+    ("certify-batch golden values", `Quick, test_golden_certificates);
     ("separator certificate", `Quick, test_certificate_separator);
     ("impossible_t edges", `Quick, test_impossible_t_edges);
     ("certificate refine improves", `Quick, test_certificate_refine_improves);
