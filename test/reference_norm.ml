@@ -63,3 +63,40 @@ let norm2_dense m =
   if Dense.rows m = 0 || Dense.cols m = 0 then 0.0
   else sqrt (jacobi_top_eigenvalue (Dense.gram m))
 
+
+(* A second, slower reference: power iteration on MᵀM, two products per
+   sweep, from the all-ones vector (not orthogonal to the top singular
+   vector when M is non-negative), stopping when the Rayleigh quotient
+   changes by at most [tol] relative or after [max_iter] sweeps.  Its
+   error shrinks with the gap between the top two singular values, so it
+   serves for loose comparisons only. *)
+let power_norm2_dense ?(tol = 1e-13) ?(max_iter = 100_000) m =
+  let rows = Dense.rows m and cols = Dense.cols m in
+  if rows = 0 || cols = 0 then 0.0
+  else begin
+    let gram x = Dense.tmv m (Dense.mv m x) in
+    let normalize v =
+      let s = sqrt (Array.fold_left (fun acc a -> acc +. (a *. a)) 0.0 v) in
+      if s = 0.0 then None else Some (Array.map (fun a -> a /. s) v)
+    in
+    let dot a b =
+      let s = ref 0.0 in
+      Array.iteri (fun i ai -> s := !s +. (ai *. b.(i))) a;
+      !s
+    in
+    let rec loop x eig k =
+      let y = gram x in
+      let rayleigh = dot x y in
+      if
+        k >= max_iter
+        || Float.abs (rayleigh -. eig) <= tol *. Float.max 1.0 rayleigh
+      then rayleigh
+      else
+        match normalize y with
+        | None -> 0.0
+        | Some x' -> loop x' rayleigh (k + 1)
+    in
+    match normalize (Array.make cols 1.0) with
+    | None -> 0.0
+    | Some x -> sqrt (Float.max 0.0 (loop x 0.0 1))
+  end

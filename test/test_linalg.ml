@@ -355,6 +355,32 @@ let gen_kernel_matrix =
            let keep, v = data.((i * m) + j) in
            if keep < sparsity then v else 0.0)))
 
+(* The Lanczos kernel against the power-iteration reference, on the
+   non-negative matrices of the norm properties. *)
+let prop_lanczos_matches_power =
+  QCheck.Test.make ~name:"Lanczos norm = power-iteration norm" ~count:60
+    arb_small_matrix (fun m ->
+      Numeric.approx_equal ~eps:1e-5 (Spectral.norm2_dense m)
+        (Reference_norm.power_norm2_dense m))
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* The fused dense Gram product and the sparse products reproduce the
+   two applies [Dense.tmv m (Dense.mv m x)] bit for bit, so the Lanczos
+   loop sees the same vectors and all three entry points return the
+   same bits as the two-apply operator form. *)
+let prop_kernel_two_apply_bits =
+  QCheck.Test.make ~name:"norm kernels = two-apply reference, bit for bit"
+    ~count:200
+    (QCheck.make gen_kernel_matrix)
+    (fun m ->
+      let expected =
+        Spectral.norm2_of_ops ~rows:(Dense.rows m) ~cols:(Dense.cols m)
+          ~mv:(Dense.mv m) ~tmv:(Dense.tmv m) ()
+      in
+      same_bits expected (Spectral.norm2_dense m)
+      && same_bits expected (Spectral.norm2_sparse (Sparse.of_dense m)))
+
 let prop_kernel_matches_jacobi =
   QCheck.Test.make ~name:"norm kernels = Jacobi reference" ~count:300
     (QCheck.make gen_kernel_matrix) kernel_matches_reference
@@ -467,8 +493,6 @@ let test_lanczos_degenerate () =
   check "dim 0" true (norm ~dim:0 (fun v -> v) = 0.0);
   check "dim 1" true (rel_close (norm ~dim:1 (fun v -> Vec.scale v 4.0)) 4.0)
 
-let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
 let test_gram_mv_into () =
   let m = m_of [ [ 1.0; 2.0; 0.0 ]; [ 0.0; 1.0; 3.0 ] ] in
   let x = [| 1.0; -1.0; 2.0 |] in
@@ -531,6 +555,8 @@ let suite =
     ("lanczos tridiagonal", `Quick, test_lanczos_tridiagonal);
     ("lanczos norm agrees", `Quick, test_lanczos_norm_agrees);
     ("lanczos degenerate dims", `Quick, test_lanczos_degenerate);
+    q prop_lanczos_matches_power;
+    q prop_kernel_two_apply_bits;
     q prop_kernel_matches_jacobi;
     q prop_kernel_scale_invariant;
     ("kernel edge cases vs Jacobi", `Quick, test_kernel_edges);
