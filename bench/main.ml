@@ -1048,6 +1048,38 @@ let print_serve_bench () =
       (Util.Json.Obj [ ("sound", Util.Json.Int 12) ])
   in
   let encoded_resp = Util.Json.to_string response in
+  (* the tables reply: 372 floats, the largest frame of the serving mix *)
+  let tables_resp =
+    Wire.ok_response ~id:(Util.Json.Int 7)
+      (Gossip_bounds.Tables.to_json ~s_max:8 ~ss:[ 3; 4; 5; 6; 7; 8 ] ())
+  in
+  let encoded_tables = Util.Json.to_string tables_resp in
+  (* [n] tables frames written into a pipe by a second thread and read
+     back with [Wire.read_frame], as a client receives them *)
+  let read_tables_frames n =
+    let r, w = Unix.pipe ~cloexec:true () in
+    let frame = Bytes.of_string (encoded_tables ^ "\n") in
+    let writer =
+      Thread.create
+        (fun () ->
+          for _ = 1 to n do
+            let off = ref 0 in
+            while !off < Bytes.length frame do
+              off := !off + Unix.write w frame !off (Bytes.length frame - !off)
+            done
+          done;
+          Unix.close w)
+        ()
+    in
+    let ic = Unix.in_channel_of_descr r in
+    for _ = 1 to n do
+      match Wire.read_frame ic ~max_bytes:Wire.default_max_frame_bytes with
+      | Ok f -> assert (String.length f = String.length encoded_tables)
+      | Error _ -> assert false
+    done;
+    close_in ic;
+    Thread.join writer
+  in
   let q = Bq.create ~capacity:1024 in
   let rows =
     [
@@ -1061,14 +1093,32 @@ let print_serve_bench () =
           match Util.Json.of_string encoded_resp with
           | Ok j -> ignore (Wire.parse_response j)
           | Error _ -> assert false);
+      rate
+        (Printf.sprintf "tables reply encode (%d B)" (String.length encoded_tables))
+        300
+        (fun () -> ignore (Util.Json.to_string tables_resp));
+      rate "tables reply decode (parse + validate)" 500 (fun () ->
+          match Util.Json.of_string encoded_tables with
+          | Ok j -> ignore (Wire.parse_response j)
+          | Error _ -> assert false);
+      (let frames = 1000 in
+       let label, per_s =
+         rate "tables reply read_frame (pipe)" 1 (fun () ->
+             read_tables_frames frames)
+       in
+       (label, per_s *. float_of_int frames));
       rate "queue push+pop pair" 200_000 (fun () ->
           ignore (Bq.try_push q request);
           ignore (Bq.pop q));
     ]
   in
-  let t = Table.make ~title:"Serving layer hot paths" [ "operation"; "ops/s" ] in
+  let t =
+    Table.make ~title:"Serving layer hot paths" [ "operation"; "ops/s"; "us/op" ]
+  in
   List.iter
-    (fun (label, rate) -> Table.add_row t [ label; Printf.sprintf "%.0f" rate ])
+    (fun (label, rate) ->
+      Table.add_row t
+        [ label; Printf.sprintf "%.0f" rate; Printf.sprintf "%.2f" (1e6 /. rate) ])
     rows;
   Table.print t
 

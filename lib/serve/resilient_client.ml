@@ -42,7 +42,12 @@ type t = {
   policy : policy;
   rng : Prng.t;  (* backoff jitter only; determinism aids replay *)
   mutable conn : Client.t option;
-  mutable rbuf : Buffer.t;  (* bytes read past the last consumed line *)
+  mutable rbuf : Bytes.t;
+      (* [rbuf[rpos, rlen)] are bytes read past the last consumed line;
+         [rbuf[rpos, scanned)] are known to hold no newline *)
+  mutable rpos : int;
+  mutable rlen : int;
+  mutable scanned : int;
   mutable token : int;  (* client-unique id for the next attempt *)
   mutable s_calls : int;
   mutable s_ok : int;
@@ -77,7 +82,10 @@ let connect ?(policy = default_policy) ?(seed = 0) listen =
       Some
         (Client.connect_retry ~connect_timeout_ms:policy.connect_timeout_ms
            listen);
-    rbuf = Buffer.create 4096;
+    rbuf = Bytes.create 4096;
+    rpos = 0;
+    rlen = 0;
+    scanned = 0;
     token = 1;
     s_calls = 0;
     s_ok = 0;
@@ -90,13 +98,18 @@ let connect ?(policy = default_policy) ?(seed = 0) listen =
     s_garbled = 0;
   }
 
+let reset_rbuf t =
+  t.rpos <- 0;
+  t.rlen <- 0;
+  t.scanned <- 0
+
 let drop_conn t =
   match t.conn with
   | None -> ()
   | Some c ->
       Client.close c;
       t.conn <- None;
-      Buffer.clear t.rbuf
+      reset_rbuf t
 
 let close t = drop_conn t
 
@@ -111,7 +124,7 @@ let ensure_conn t =
           t.listen
       with
       | c ->
-          Buffer.clear t.rbuf;
+          reset_rbuf t;
           t.conn <- Some c;
           t.s_reconnects <- t.s_reconnects + 1;
           Ok c
@@ -119,21 +132,45 @@ let ensure_conn t =
           Error (Printf.sprintf "connect: %s" (Unix.error_message e))
       | exception Sys_error e -> Error (Printf.sprintf "connect: %s" e))
 
-(* Pull one complete line out of [rbuf], if any. *)
+(* Pull one complete line out of [rbuf], if any.  Only bytes not
+   scanned by an earlier call are searched, and the remainder after the
+   line stays where it is. *)
 let take_line t =
-  let s = Buffer.contents t.rbuf in
-  match String.index_opt s '\n' with
-  | None -> None
+  let rec newline i =
+    if i >= t.rlen then None
+    else if Bytes.unsafe_get t.rbuf i = '\n' then Some i
+    else newline (i + 1)
+  in
+  match newline t.scanned with
+  | None ->
+      t.scanned <- t.rlen;
+      None
   | Some i ->
-      let line = String.sub s 0 i in
-      Buffer.clear t.rbuf;
-      Buffer.add_substring t.rbuf s (i + 1) (String.length s - i - 1);
-      let line =
-        if line <> "" && line.[String.length line - 1] = '\r' then
-          String.sub line 0 (String.length line - 1)
-        else line
-      in
+      let stop = if i > t.rpos && Bytes.get t.rbuf (i - 1) = '\r' then i - 1 else i in
+      let line = Bytes.sub_string t.rbuf t.rpos (stop - t.rpos) in
+      if i + 1 = t.rlen then reset_rbuf t
+      else begin
+        t.rpos <- i + 1;
+        t.scanned <- i + 1
+      end;
       Some line
+
+(* Room for at least [want] more bytes after [rlen]: the unconsumed
+   bytes move to the front, and the buffer doubles only if they fill
+   it. *)
+let make_room t ~want =
+  if t.rlen + want > Bytes.length t.rbuf then begin
+    let live = t.rlen - t.rpos in
+    let dst =
+      if live + want <= Bytes.length t.rbuf then t.rbuf
+      else Bytes.create (max (live + want) (2 * Bytes.length t.rbuf))
+    in
+    Bytes.blit t.rbuf t.rpos dst 0 live;
+    t.rbuf <- dst;
+    t.scanned <- t.scanned - t.rpos;
+    t.rpos <- 0;
+    t.rlen <- live
+  end
 
 (* One reply line from the raw fd, or a verdict that none will come in
    time.  [select] + [read] keeps the buffered channel out of the read
@@ -141,7 +178,6 @@ let take_line t =
    a channel buffer across attempts. *)
 let read_line_deadline t c ~deadline_ns =
   let fd = Client.fd c in
-  let chunk = Bytes.create 4096 in
   let rec loop () =
     match take_line t with
     | Some line -> `Line line
@@ -154,10 +190,11 @@ let read_line_deadline t c ~deadline_ns =
           match Unix.select [ fd ] [] [] remaining_s with
           | [], _, _ -> loop () (* raced the deadline; re-check above *)
           | _ -> (
-              match Unix.read fd chunk 0 (Bytes.length chunk) with
+              make_room t ~want:4096;
+              match Unix.read fd t.rbuf t.rlen (Bytes.length t.rbuf - t.rlen) with
               | 0 -> `Eof
               | n ->
-                  Buffer.add_subbytes t.rbuf chunk 0 n;
+                  t.rlen <- t.rlen + n;
                   loop ()
               | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
               | exception Unix.Unix_error _ -> `Lost)

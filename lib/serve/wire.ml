@@ -487,27 +487,40 @@ let default_max_frame_bytes = 1 lsl 20
 
 type frame_error = Eof | Oversized
 
+(* [input_line]'s primitive: scans the channel buffer for '\n',
+   refilling it from the fd, and returns [n > 0] when the next line is
+   [n] bytes newline included, [-n] when [n] bytes hold no newline (the
+   64 KiB buffer is full, or the stream ended), and 0 at end of stream.
+   Nothing is consumed. *)
+external input_scan_line : in_channel -> int = "caml_ml_input_scan_line"
+
+(* A line arrives a buffer-full at a time; the bound is checked before
+   each piece is taken off the channel, so at most [max_bytes] are ever
+   held here. *)
 let read_frame ic ~max_bytes =
-  let buf = Buffer.create 256 in
-  let rec go () =
-    match input_char ic with
-    | '\n' ->
-        let line = Buffer.contents buf in
-        let len = String.length line in
-        if len > 0 && line.[len - 1] = '\r' then
-          Ok (String.sub line 0 (len - 1))
-        else Ok line
-    | c ->
-        if Buffer.length buf >= max_bytes then Error Oversized
+  let join = function [ s ] -> s | rev -> String.concat "" (List.rev rev) in
+  let rec go pieces held =
+    match input_scan_line ic with
+    | 0 ->
+        if held = 0 then Error Eof
+        else Ok (join pieces) (* unterminated final frame *)
+    | n ->
+        let len = if n > 0 then n - 1 else -n in
+        if held + len > max_bytes then Error Oversized
         else begin
-          Buffer.add_char buf c;
-          go ()
+          let pieces = really_input_string ic len :: pieces in
+          if n < 0 then go pieces (held + len)
+          else begin
+            ignore (input_char ic);
+            let line = join pieces in
+            let len = String.length line in
+            if len > 0 && line.[len - 1] = '\r' then
+              Ok (String.sub line 0 (len - 1))
+            else Ok line
+          end
         end
-    | exception End_of_file ->
-        if Buffer.length buf = 0 then Error Eof
-        else Ok (Buffer.contents buf) (* unterminated final frame *)
   in
-  go ()
+  go [] 0
 
 let write_frame oc j =
   output_string oc (Json.to_string j);

@@ -192,7 +192,17 @@ type frame_error =
 
 (** [read_frame ic ~max_bytes] — one line, without its terminator
     (a trailing [\r] is also stripped).  Empty lines are returned as
-    empty strings; callers skip them (tolerated as keep-alives). *)
+    empty strings; callers skip them (tolerated as keep-alives).  A
+    final line the peer ends without ['\n'] is returned as it is, [\r]
+    included.
+
+    The line is taken off [ic] a channel-buffer-full (64 KiB) at a
+    time, not a byte at a time.  [max_bytes] bounds the bytes before
+    the ['\n'], a trailing [\r] included, and is checked before each
+    piece is taken: a line of [max_bytes + 1] bytes or more gets
+    [Oversized] without ever being held whole.  The verdict comes when
+    the line's ['\n'] arrives, the channel buffer fills, or the stream
+    ends — whichever is first. *)
 val read_frame : in_channel -> max_bytes:int -> (string, frame_error) result
 
 (** [write_frame oc j] writes [j] compactly followed by a newline and

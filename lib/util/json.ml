@@ -9,38 +9,52 @@ type t =
 
 (* {2 Printing} *)
 
+(* Runs of bytes that need no escaping are copied with one
+   [add_substring]; a string with nothing to escape is copied whole. *)
 let escape_into buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
+  let n = String.length s in
+  let flush from upto =
+    if upto > from then Buffer.add_substring buf s from (upto - from)
+  in
+  let rec go from i =
+    if i = n then flush from i
+    else
+      match String.unsafe_get s i with
+      | '"' | '\\' | '\000' .. '\031' as c ->
+          flush from i;
+          (match c with
+          | '"' -> Buffer.add_string buf "\\\""
+          | '\\' -> Buffer.add_string buf "\\\\"
+          | '\b' -> Buffer.add_string buf "\\b"
+          | '\012' -> Buffer.add_string buf "\\f"
+          | '\n' -> Buffer.add_string buf "\\n"
+          | '\r' -> Buffer.add_string buf "\\r"
+          | '\t' -> Buffer.add_string buf "\\t"
+          | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
+          go (i + 1) (i + 1)
+      | _ -> go from (i + 1)
+  in
+  go 0 0
 
-(* Shortest %g rendering that parses back to the same float; forced to
-   contain '.' or an exponent so the reader can tell floats from ints. *)
+(* The same C primitive [Printf.sprintf "%.Ng"] ends in, without the
+   format interpretation around it: identical bytes. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* The first of [%.12g], [%.15g], [%.17g] that parses back to the same
+   float; forced to contain '.' or an exponent so the reader can tell
+   floats from ints.  Tried from 15 digits: no decimal of up to 15
+   digits, 12-digit ones included, is nearer [f] than the 15-digit one,
+   so if 12 digits parse back to [f] 15 do too, and a float that fails
+   at 15 digits goes straight to 17. *)
 let float_repr f =
   if Float.is_nan f || Float.abs f = Float.infinity then "null"
   else begin
-    let try_fmt fmt =
-      let s = Printf.sprintf fmt f in
-      if float_of_string s = f then Some s else None
-    in
+    let s15 = format_float "%.15g" f in
     let s =
-      match try_fmt "%.12g" with
-      | Some s -> s
-      | None -> (
-          match try_fmt "%.15g" with
-          | Some s -> s
-          | None -> Printf.sprintf "%.17g" f)
+      if float_of_string s15 <> f then format_float "%.17g" f
+      else
+        let s12 = format_float "%.12g" f in
+        if float_of_string s12 = f then s12 else s15
     in
     if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s
     else s ^ ".0"
@@ -112,23 +126,36 @@ let fail pos msg = raise (Parse_error (pos, msg))
 
 type cursor = { src : string; mutable pos : int }
 
+(* Scanning is by index; [peek] and its option are left to the escape
+   decoder, the one place that still walks a byte at a time. *)
 let peek c = if c.pos < String.length c.src then Some c.src.[c.pos] else None
 
 let advance c = c.pos <- c.pos + 1
 
+let looking_at c ch =
+  c.pos < String.length c.src && String.unsafe_get c.src c.pos = ch
+
 let skip_ws c =
-  let continue = ref true in
-  while !continue do
-    match peek c with
-    | Some (' ' | '\t' | '\n' | '\r') -> advance c
-    | _ -> continue := false
-  done
+  let s = c.src in
+  let n = String.length s in
+  let i = ref c.pos in
+  while
+    !i < n
+    && match String.unsafe_get s !i with
+       | ' ' | '\t' | '\n' | '\r' -> true
+       | _ -> false
+  do
+    incr i
+  done;
+  c.pos <- !i
 
 let expect c ch =
-  match peek c with
-  | Some x when x = ch -> advance c
-  | Some x -> fail c.pos (Printf.sprintf "expected %c, found %c" ch x)
-  | None -> fail c.pos (Printf.sprintf "expected %c, found end of input" ch)
+  if c.pos >= String.length c.src then
+    fail c.pos (Printf.sprintf "expected %c, found end of input" ch)
+  else
+    let x = String.unsafe_get c.src c.pos in
+    if x = ch then advance c
+    else fail c.pos (Printf.sprintf "expected %c, found %c" ch x)
 
 let literal c word value =
   let n = String.length word in
@@ -176,9 +203,9 @@ let hex4 c =
   done;
   !v
 
-let parse_string c =
-  expect c '"';
-  let buf = Buffer.create 16 in
+(* The rest of a string after its first escape (or its end, or a
+   control character: the errors are raised here), a byte at a time. *)
+let parse_escaped c buf =
   let rec go () =
     match peek c with
     | None -> fail c.pos "unterminated string"
@@ -230,62 +257,88 @@ let parse_string c =
   go ();
   Buffer.contents buf
 
+(* An escape-free string is one [String.sub]; otherwise the plain
+   prefix is copied and the rest decoded a byte at a time. *)
+let parse_string c =
+  expect c '"';
+  let s = c.src and start = c.pos in
+  let n = String.length s in
+  let i = ref start in
+  while
+    !i < n
+    && match String.unsafe_get s !i with
+       | '"' | '\\' | '\000' .. '\031' -> false
+       | _ -> true
+  do
+    incr i
+  done;
+  if !i < n && String.unsafe_get s !i = '"' then begin
+    c.pos <- !i + 1;
+    String.sub s start (!i - start)
+  end
+  else begin
+    c.pos <- !i;
+    let buf = Buffer.create (!i - start + 16) in
+    Buffer.add_substring buf s start (!i - start);
+    parse_escaped c buf
+  end
+
+let is_digit = function '0' .. '9' -> true | _ -> false
+
+(* RFC 8259 numbers: the integer part is "0" or starts with 1-9.  A
+   number without fraction or exponent is an [Int] when it fits. *)
 let parse_number c =
-  let start = c.pos in
-  let is_float = ref false in
-  if peek c = Some '-' then advance c;
-  let digits () =
-    let saw = ref false in
-    let continue = ref true in
-    while !continue do
-      match peek c with
-      | Some '0' .. '9' ->
-          saw := true;
-          advance c
-      | _ -> continue := false
+  let s = c.src and start = c.pos in
+  let n = String.length s in
+  let digits from =
+    let i = ref from in
+    while !i < n && is_digit (String.unsafe_get s !i) do
+      incr i
     done;
-    if not !saw then fail c.pos "expected digit"
+    if !i = from then fail from "expected digit";
+    !i
   in
-  digits ();
-  if peek c = Some '.' then begin
-    is_float := true;
-    advance c;
-    digits ()
-  end;
-  (match peek c with
-  | Some ('e' | 'E') ->
-      is_float := true;
-      advance c;
-      (match peek c with Some ('+' | '-') -> advance c | _ -> ());
-      digits ()
-  | _ -> ());
-  let s = String.sub c.src start (c.pos - start) in
-  if !is_float then Float (float_of_string s)
+  let int_start = if s.[start] = '-' then start + 1 else start in
+  let int_end = digits int_start in
+  if s.[int_start] = '0' && int_end > int_start + 1 then
+    fail (int_start + 1) "leading zero in number";
+  let frac_end =
+    if int_end < n && s.[int_end] = '.' then digits (int_end + 1) else int_end
+  in
+  let stop =
+    if frac_end < n && (s.[frac_end] = 'e' || s.[frac_end] = 'E') then
+      let i = frac_end + 1 in
+      digits (if i < n && (s.[i] = '+' || s.[i] = '-') then i + 1 else i)
+    else frac_end
+  in
+  c.pos <- stop;
+  let text = String.sub s start (stop - start) in
+  if stop > int_end then Float (float_of_string text)
   else
-    match int_of_string_opt s with
+    match int_of_string_opt text with
     | Some i -> Int i
-    | None -> Float (float_of_string s)
+    | None -> Float (float_of_string text)
 
 let rec parse_value c =
   skip_ws c;
-  match peek c with
-  | None -> fail c.pos "unexpected end of input"
-  | Some 'n' -> literal c "null" Null
-  | Some 't' -> literal c "true" (Bool true)
-  | Some 'f' -> literal c "false" (Bool false)
-  | Some '"' -> Str (parse_string c)
-  | Some ('-' | '0' .. '9') -> parse_number c
-  | Some '[' ->
+  if c.pos >= String.length c.src then fail c.pos "unexpected end of input";
+  match String.unsafe_get c.src c.pos with
+  | 'n' -> literal c "null" Null
+  | 't' -> literal c "true" (Bool true)
+  | 'f' -> literal c "false" (Bool false)
+  | '"' -> Str (parse_string c)
+  | '-' | '0' .. '9' -> parse_number c
+  | '[' ->
       advance c;
       skip_ws c;
-      if peek c = Some ']' then begin
+      if looking_at c ']' then begin
         advance c;
         List []
       end
       else begin
         let items = ref [ parse_value c ] in
         skip_ws c;
-        while peek c = Some ',' do
+        while looking_at c ',' do
           advance c;
           items := parse_value c :: !items;
           skip_ws c
@@ -293,10 +346,10 @@ let rec parse_value c =
         expect c ']';
         List (List.rev !items)
       end
-  | Some '{' ->
+  | '{' ->
       advance c;
       skip_ws c;
-      if peek c = Some '}' then begin
+      if looking_at c '}' then begin
         advance c;
         Obj []
       end
@@ -311,7 +364,7 @@ let rec parse_value c =
         in
         let fields = ref [ field () ] in
         skip_ws c;
-        while peek c = Some ',' do
+        while looking_at c ',' do
           advance c;
           fields := field () :: !fields;
           skip_ws c
@@ -319,7 +372,7 @@ let rec parse_value c =
         expect c '}';
         Obj (List.rev !fields)
       end
-  | Some ch -> fail c.pos (Printf.sprintf "unexpected character %c" ch)
+  | ch -> fail c.pos (Printf.sprintf "unexpected character %c" ch)
 
 let of_string s =
   let c = { src = s; pos = 0 } in

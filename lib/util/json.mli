@@ -7,11 +7,13 @@
     pretty printers, and a strict recursive-descent parser used by the
     tests and the CI lint to validate everything the tools emit.
 
-    Numbers are split into {!Int} and {!Float}.  The printer renders
-    floats with the shortest [%g] precision that round-trips (always
-    containing ['.'], ['e'] or ['E']), so [of_string (to_string j)]
-    reconstructs [j] exactly; NaN and infinities — which JSON cannot
-    represent — print as [null]. *)
+    Numbers are split into {!Int} and {!Float}.  The printer renders a
+    float with the first of [%.12g], [%.15g] and [%.17g] that parses
+    back to the same float (not the shortest round-tripping precision:
+    a float that needs 13 or 14 digits prints 15), always containing
+    ['.'], ['e'] or ['E'], so [of_string (to_string j)] reconstructs
+    [j] exactly; NaN and infinities — which JSON cannot represent —
+    print as [null]. *)
 
 type t =
   | Null
@@ -35,9 +37,12 @@ val pp : Format.formatter -> t -> unit
 (** [of_string s] parses one JSON value occupying the whole string
     (surrounding whitespace allowed).  Strict: rejects trailing garbage,
     unescaped control characters, unpaired surrogates and malformed
-    numbers.  [\uXXXX] escapes (including surrogate pairs) decode to
-    UTF-8.  Numbers with a fraction or exponent parse as {!Float},
-    others as {!Int}. *)
+    numbers, leading zeros included ([01], [-01], [00]; RFC 8259).
+    [\uXXXX] escapes (including surrogate pairs) decode to UTF-8.
+    Numbers with a fraction or exponent parse as {!Float}, others as
+    {!Int} — or as {!Float} when they overflow [int].  An error reads
+    ["at offset N: reason"], [N] the byte offset of the offending
+    character. *)
 val of_string : string -> (t, string) result
 
 (** {1 Accessors} *)

@@ -400,35 +400,171 @@ let test_wire_response_roundtrip () =
       Wire.Oversized_frame; Wire.Shutting_down; Wire.Internal;
     ]
 
-let test_wire_framing () =
-  let frames_of s ~max_bytes =
-    let path = Filename.temp_file "wiretest" ".txt" in
-    let oc = open_out_bin path in
-    output_string oc s;
-    close_out oc;
-    let ic = open_in_bin path in
-    let rec go acc =
-      match Wire.read_frame ic ~max_bytes with
-      | Ok f -> go (Ok f :: acc)
-      | Error e -> List.rev (Error e :: acc)
-    in
-    let r = go [] in
-    close_in ic;
-    Sys.remove path;
-    r
+(* The reader as it was before it scanned a buffer-full at a time: one
+   [input_char] per byte.  [read_frame] must return the same frames. *)
+let char_read_frame ic ~max_bytes =
+  let buf = Buffer.create 256 in
+  let rec go () =
+    match input_char ic with
+    | '\n' ->
+        let line = Buffer.contents buf in
+        let len = String.length line in
+        if len > 0 && line.[len - 1] = '\r' then
+          Ok (String.sub line 0 (len - 1))
+        else Ok line
+    | c ->
+        if Buffer.length buf >= max_bytes then Error Wire.Oversized
+        else begin
+          Buffer.add_char buf c;
+          go ()
+        end
+    | exception End_of_file ->
+        if Buffer.length buf = 0 then Error Wire.Eof
+        else Ok (Buffer.contents buf)
   in
+  go ()
+
+(* Every frame of [ic] up to and including the first error; the rest of
+   the stream is drained so a pipe writer never blocks. *)
+let read_all ?(read = Wire.read_frame) ic ~max_bytes =
+  let rec go acc =
+    match read ic ~max_bytes with
+    | Ok f -> go (Ok f :: acc)
+    | Error e -> List.rev (Error e :: acc)
+  in
+  let frames = go [] in
+  ignore (In_channel.input_all ic);
+  frames
+
+let frames_of_file ?read s ~max_bytes =
+  let path = Filename.temp_file "wiretest" ".txt" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc s);
+  let r = In_channel.with_open_bin path (read_all ?read ~max_bytes) in
+  Sys.remove path;
+  r
+
+(* [s] written into a pipe [piece] bytes per write by a second thread,
+   so the reader sees it arrive in fragments. *)
+let frames_of_pipe ~piece s ~max_bytes =
+  let r, w = Unix.pipe ~cloexec:true () in
+  let writer =
+    Thread.create
+      (fun () ->
+        let b = Bytes.unsafe_of_string s in
+        let off = ref 0 in
+        while !off < Bytes.length b do
+          let n = min piece (Bytes.length b - !off) in
+          off := !off + Unix.write w b !off n;
+          Thread.yield ()
+        done;
+        Unix.close w)
+      ()
+  in
+  let ic = Unix.in_channel_of_descr r in
+  let frames = read_all ic ~max_bytes in
+  close_in ic;
+  Thread.join writer;
+  frames
+
+let test_wire_framing () =
   check "plain lines" true
-    (frames_of "a\nbb\n" ~max_bytes:10 = [ Ok "a"; Ok "bb"; Error Wire.Eof ]);
+    (frames_of_file "a\nbb\n" ~max_bytes:10 = [ Ok "a"; Ok "bb"; Error Wire.Eof ]);
   check "crlf stripped" true
-    (frames_of "a\r\n" ~max_bytes:10 = [ Ok "a"; Error Wire.Eof ]);
+    (frames_of_file "a\r\n" ~max_bytes:10 = [ Ok "a"; Error Wire.Eof ]);
   check "unterminated final frame" true
-    (frames_of "tail" ~max_bytes:10 = [ Ok "tail"; Error Wire.Eof ]);
+    (frames_of_file "tail" ~max_bytes:10 = [ Ok "tail"; Error Wire.Eof ]);
   check "oversized detected" true
-    (match frames_of "0123456789ABCDEF\n" ~max_bytes:8 with
+    (match frames_of_file "0123456789ABCDEF\n" ~max_bytes:8 with
     | Error Wire.Oversized :: _ -> true
     | _ -> false);
   check "empty line is empty frame" true
-    (frames_of "\nx\n" ~max_bytes:10 = [ Ok ""; Ok "x"; Error Wire.Eof ])
+    (frames_of_file "\nx\n" ~max_bytes:10 = [ Ok ""; Ok "x"; Error Wire.Eof ]);
+  let big n c = String.make n c in
+  let show = function
+    | Ok f when String.length f > 40 ->
+        Printf.sprintf "Ok <%d bytes>" (String.length f)
+    | Ok f -> Printf.sprintf "Ok %S" f
+    | Error Wire.Eof -> "Eof"
+    | Error Wire.Oversized -> "Oversized"
+  in
+  let expect name expected got =
+    check_str name
+      (String.concat "; " (List.map show expected))
+      (String.concat "; " (List.map show got))
+  in
+  (* a frame larger than the 64 KiB channel buffer comes back whole *)
+  expect "frame > channel buffer"
+    [ Ok (big 200_000 'a'); Ok "b"; Error Wire.Eof ]
+    (frames_of_file (big 200_000 'a' ^ "\nb\n") ~max_bytes:(1 lsl 20));
+  (* the bound counts the bytes before '\n', a trailing '\r' included *)
+  List.iter
+    (fun m ->
+      let name what = Printf.sprintf "max_bytes=%d: %s" m what in
+      expect (name "exactly max_bytes")
+        [ Ok (big m 'x'); Ok "y"; Error Wire.Eof ]
+        (frames_of_file (big m 'x' ^ "\ny\n") ~max_bytes:m);
+      expect (name "max_bytes + 1")
+        [ Error Wire.Oversized ]
+        (frames_of_file (big (m + 1) 'x' ^ "\ny\n") ~max_bytes:m);
+      expect (name "exactly max_bytes with \\r")
+        [ Ok (big (m - 1) 'x'); Ok "y"; Error Wire.Eof ]
+        (frames_of_file (big (m - 1) 'x' ^ "\r\ny\n") ~max_bytes:m);
+      expect (name "max_bytes + 1 with \\r")
+        [ Error Wire.Oversized ]
+        (frames_of_file (big m 'x' ^ "\r\ny\n") ~max_bytes:m);
+      expect (name "unterminated, exactly max_bytes")
+        [ Ok (big m 'x'); Error Wire.Eof ]
+        (frames_of_file (big m 'x') ~max_bytes:m);
+      expect (name "unterminated, max_bytes + 1")
+        [ Error Wire.Oversized ]
+        (frames_of_file (big (m + 1) 'x') ~max_bytes:m))
+    [ 10; 65_535; 65_536; 65_537; 150_000 ];
+  (* an unterminated final frame spanning several buffer-fulls; its
+     '\r' is kept, as it always was *)
+  expect "long unterminated final frame"
+    [ Ok "head"; Ok (big 300_000 'z' ^ "\r"); Error Wire.Eof ]
+    (frames_of_file ("head\n" ^ big 300_000 'z' ^ "\r") ~max_bytes:(1 lsl 20));
+  (* the same streams, fed through a pipe a few bytes at a time *)
+  let stream =
+    String.concat ""
+      [ "a\n"; "\n"; "crlf\r\n"; big 70_000 'q'; "\n"; {|{"k":1}|}; "\nend" ]
+  in
+  let expected =
+    [ Ok "a"; Ok ""; Ok "crlf"; Ok (big 70_000 'q'); Ok {|{"k":1}|}; Ok "end";
+      Error Wire.Eof ]
+  in
+  List.iter
+    (fun piece ->
+      expect
+        (Printf.sprintf "pipe, %d-byte pieces" piece)
+        expected
+        (frames_of_pipe ~piece stream ~max_bytes:(1 lsl 20)))
+    [ 3; 4093; 100_000 ];
+  expect "pipe, oversized mid-stream"
+    [ Ok "a"; Ok ""; Ok "crlf"; Error Wire.Oversized ]
+    (frames_of_pipe ~piece:512 stream ~max_bytes:1000)
+
+let prop_wire_framing_matches_char_reader =
+  QCheck.Test.make ~count:500 ~name:"read_frame = per-byte reader"
+    QCheck.(
+      pair (int_range 0 24)
+        (string_gen_of_size Gen.(int_range 0 300) (Gen.oneofl [ 'a'; 'b'; '\r'; '\n' ])))
+    (fun (max_bytes, s) ->
+      frames_of_file s ~max_bytes
+      = frames_of_file ~read:char_read_frame s ~max_bytes)
+
+(* The encoded tables reply — 372 floats, the bulk of serving traffic —
+   pinned byte for byte: any change to the float printer or the field
+   order shows up here. *)
+let test_tables_reply_digest () =
+  let d = Dispatch.create () in
+  match Dispatch.eval d (Wire.Tables { s_max = 8; ss = [ 3; 4; 5; 6; 7; 8 ] }) with
+  | Ok j ->
+      let s = Json.to_string j in
+      check_int "encoded length" 14668 (String.length s);
+      check_str "encoded digest" "f1033757c5040d6ff697375f7d83628d"
+        (Digest.to_hex (Digest.string s))
+  | Error _ -> Alcotest.fail "tables failed"
 
 (* --- dispatch --- *)
 
@@ -1827,6 +1963,86 @@ let test_e2e_resilient_client_fatal_not_retried () =
           check_int "rejected on the first attempt" 1 s.Resilient.attempts;
           check_int "no retries of a rejection" 0 s.Resilient.retries))
 
+(* Replies split across reads.  A stale reply shares a read with the
+   head of a short reply whose tail arrives later, after the line
+   buffer has moved the head to its front; then a large reply arrives
+   61 bytes at a time, ending in "\r\n".  The client's line buffer
+   must reassemble each reply exactly, with no attempt timing out. *)
+let test_resilient_client_split_reply () =
+  (* as [Server] does: a write to a client that has gone raises EPIPE
+     in the fake server's thread instead of killing the test process *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let path = Filename.temp_file "gossip-split" ".sock" in
+  Sys.remove path;
+  let lfd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX path);
+  Unix.listen lfd 1;
+  let large =
+    Json.Obj
+      [
+        ("blob", Json.Str (String.make 9_000 'p'));
+        ("xs", Json.List (List.init 400 (fun i -> Json.Float (float_of_int i /. 7.0))));
+      ]
+  in
+  let small = Json.Obj [ ("pong", Json.Bool true) ] in
+  let serve () =
+    let fd, _ = Unix.accept ~cloexec:true lfd in
+    let ic = Unix.in_channel_of_descr fd in
+    let write_in_pieces s ~piece =
+      let b = Bytes.unsafe_of_string s in
+      let off = ref 0 in
+      while !off < Bytes.length b do
+        off := !off + Unix.write fd b !off (min piece (Bytes.length b - !off));
+        Thread.delay 0.0002
+      done
+    in
+    let reply ~id payload = Json.to_string (Wire.ok_response ~id payload) in
+    let next_id () =
+      match Wire.read_frame ic ~max_bytes:Wire.default_max_frame_bytes with
+      | Ok line -> Option.get (Json.member "id" (Result.get_ok (Json.of_string line)))
+      | Error _ -> Alcotest.fail "fake server: no request"
+    in
+    (* 12 400 bytes with its newline: the buffer (4 KiB, doubled when
+       full) holds it in 16 KiB, so reading the short reply's tail
+       needs the head moved to the front first *)
+    let stale =
+      let envelope = reply ~id:(Json.Int 999) (Json.Str "") in
+      reply ~id:(Json.Int 999) (Json.Str (String.make (12_399 - String.length envelope) 'p'))
+    in
+    let id = next_id () in
+    let short = reply ~id small ^ "\n" in
+    let head = 10 in
+    write_in_pieces ~piece:max_int (stale ^ "\n" ^ String.sub short 0 head);
+    Thread.delay 0.05;
+    write_in_pieces ~piece:max_int
+      (String.sub short head (String.length short - head));
+    let id = next_id () in
+    write_in_pieces ~piece:61 (reply ~id large ^ "\r\n");
+    Unix.close fd
+  in
+  let server = Thread.create serve () in
+  Fun.protect
+    ~finally:(fun () ->
+      Thread.join server;
+      Unix.close lfd;
+      Sys.remove path)
+    (fun () ->
+      let rc = Resilient.connect (Server.Unix_socket path) in
+      Fun.protect
+        ~finally:(fun () -> Resilient.close rc)
+        (fun () ->
+          List.iteri
+            (fun call payload ->
+              match Resilient.call rc Wire.Ping with
+              | Ok { Wire.outcome = Ok j; _ } ->
+                  check (Printf.sprintf "reply %d reassembled" call) true (j = payload)
+              | _ -> Alcotest.failf "call %d failed" call)
+            [ small; large ];
+          let s = Resilient.stats rc in
+          check_int "stale reply dropped" 1 s.Resilient.stale_dropped;
+          check_int "no retries" 0 s.Resilient.retries;
+          check_int "nothing garbled" 0 s.Resilient.garbled))
+
 let suite =
   [
     ("bounded queue basics", `Quick, test_queue_basic);
@@ -1838,6 +2054,8 @@ let suite =
     ("wire rejections", `Quick, test_wire_rejections);
     ("wire response roundtrip", `Quick, test_wire_response_roundtrip);
     ("wire framing", `Quick, test_wire_framing);
+    QCheck_alcotest.to_alcotest prop_wire_framing_matches_char_reader;
+    ("tables reply digest", `Quick, test_tables_reply_digest);
     ("dispatch direct", `Quick, test_dispatch_direct);
     ("dispatch simulate_implicit", `Quick, test_dispatch_simulate_implicit);
     ("dispatch certify_faults", `Quick, test_dispatch_certify_faults);
@@ -1869,4 +2087,5 @@ let suite =
     ("e2e resilient client tolerates corruption", `Quick, test_e2e_resilient_client_tolerates_corruption);
     ("e2e resilient client drops stale replies", `Quick, test_e2e_resilient_client_drops_stale_replies);
     ("e2e resilient client does not retry rejections", `Quick, test_e2e_resilient_client_fatal_not_retried);
+    ("resilient client reassembles a split reply", `Quick, test_resilient_client_split_reply);
   ]

@@ -94,18 +94,6 @@ let test_json_parse_escapes () =
       checkf "exponent float" (-2500.0) f
   | _ -> Alcotest.fail "mixed list did not parse")
 
-let test_json_parse_rejects () =
-  let rejects s =
-    match Json.of_string s with
-    | Ok _ -> Alcotest.failf "parser accepted %S" s
-    | Error _ -> ()
-  in
-  List.iter rejects
-    [
-      ""; "{"; "[1,]"; "{\"a\":}"; "nulx"; "\"unterminated"; "1 2";
-      "{\"a\" 1}"; "[1] trailing"; "\"bad \\q escape\"";
-    ]
-
 let prop_json_float_roundtrip =
   QCheck.Test.make ~count:500 ~name:"json float round trip"
     QCheck.(float_range (-1e15) 1e15)
@@ -121,6 +109,206 @@ let prop_json_string_roundtrip =
       match Json.of_string (Json.to_string (Json.Str s)) with
       | Ok (Json.Str s') -> s = s'
       | _ -> false)
+
+(* --- Json: byte identity of the float printer --- *)
+
+(* The printer as it was before it formatted through [caml_format_float]
+   and tried 15 digits first: the first of %.12g / %.15g / %.17g that
+   parses back to the same float.  The production printer must agree
+   with it byte for byte — the wire goldens and every stored trace
+   depend on that. *)
+let ladder_float_repr f =
+  if Float.is_nan f || Float.abs f = Float.infinity then "null"
+  else begin
+    let try_fmt fmt =
+      let s = Printf.sprintf fmt f in
+      if float_of_string s = f then Some s else None
+    in
+    let s =
+      match try_fmt "%.12g" with
+      | Some s -> s
+      | None -> (
+          match try_fmt "%.15g" with
+          | Some s -> s
+          | None -> Printf.sprintf "%.17g" f)
+    in
+    if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s
+    else s ^ ".0"
+  end
+
+let float_edge_cases =
+  [
+    0.0; -0.0; 1.0; -1.0; 0.1; 0.5; 1.5; 100.0; 1e12; 1e13; 1e14; 1e15;
+    1e16; 1e17; 1e21; 1e22; -1e21; 123456789012.0; 1234567890123.0;
+    12345678901234.0; 123456789012345.0; 0.0001; 0.00001; 1.1e-5;
+    Float.max_float; -.Float.max_float; Float.min_float; -.Float.min_float;
+    Int64.float_of_bits 1L; Int64.float_of_bits 0x000F_FFFF_FFFF_FFFFL;
+    5e-324; 2.2250738585072009e-308; Float.epsilon; 1.0 /. 3.0; 2.0 /. 3.0;
+    Float.pi; 0.30000000000000004; 9007199254740993.0; 4503599627370497.5;
+    Float.nan; Float.infinity; Float.neg_infinity;
+  ]
+
+let gen_interesting_float =
+  let open QCheck.Gen in
+  frequency
+    [
+      (* any bit pattern: subnormals, huge exponents, NaNs *)
+      (4, map Int64.float_of_bits ui64);
+      (* short decimals, the 12-digit rung *)
+      ( 3,
+        map2
+          (fun m k -> float_of_int m /. (10.0 ** float_of_int k))
+          (int_range (-1_000_000) 1_000_000)
+          (int_range 0 8) );
+      (* 13-16 significant digits, the 15-digit rung and its edge *)
+      ( 2,
+        map2
+          (fun m e -> float_of_string (Printf.sprintf "%.15ge%d" m e))
+          (float_range 1.0 10.0) (int_range (-20) 25) );
+      (* integers around the %g fixed/exponent switch (1e12 .. 1e21) *)
+      (2, map2 (fun m e -> m *. (10.0 ** float_of_int e)) (float_range 1.0 10.0)
+            (int_range 10 22));
+      (1, oneofl float_edge_cases);
+    ]
+
+let test_json_float_edge_identity () =
+  List.iter
+    (fun f ->
+      check_str
+        (Printf.sprintf "float %h" f)
+        (ladder_float_repr f)
+        (Json.to_string (Json.Float f)))
+    float_edge_cases
+
+let prop_json_float_printer_identity =
+  QCheck.Test.make ~count:20_000 ~name:"json float printer = 12/15/17 ladder"
+    (QCheck.make ~print:(Printf.sprintf "%h") gen_interesting_float)
+    (fun f -> Json.to_string (Json.Float f) = ladder_float_repr f)
+
+(* --- Json: parser round trips and error strings --- *)
+
+let gen_json =
+  let open QCheck.Gen in
+  let finite = map (fun f -> if Float.is_finite f then f else 0.5) float in
+  let leaf =
+    frequency
+      [
+        (1, return Json.Null);
+        (1, map (fun b -> Json.Bool b) bool);
+        (2, map (fun i -> Json.Int i) int);
+        (2, map (fun f -> Json.Float f) finite);
+        (3, map (fun s -> Json.Str s) (string_size ~gen:char (int_range 0 24)));
+      ]
+  in
+  let key = string_size ~gen:char (int_range 0 8) in
+  sized_size (int_range 0 40)
+  @@ fix (fun self n ->
+         if n <= 1 then leaf
+         else
+           frequency
+             [
+               (1, leaf);
+               ( 2,
+                 map (fun l -> Json.List l)
+                   (list_size (int_range 0 5) (self (n / 3))) );
+               ( 2,
+                 map (fun l -> Json.Obj l)
+                   (list_size (int_range 0 5) (pair key (self (n / 3)))) );
+             ])
+
+let prop_json_tree_roundtrip =
+  QCheck.Test.make ~count:2_000 ~name:"json random trees round trip"
+    (QCheck.make ~print:Json.to_string gen_json)
+    (fun j ->
+      Json.of_string (Json.to_string j) = Ok j
+      && Json.of_string (Json.to_string_pretty j) = Ok j)
+
+(* Each malformed input with its error message.  Apart from the
+   leading-zero rows (RFC 8259: an integer part is "0" or starts with
+   1-9) these are the messages of the byte-at-a-time parser the index
+   scanner replaced; callers and logs see the same strings. *)
+let malformed_corpus =
+  [
+    ("01", "at offset 1: leading zero in number");
+    ("-01", "at offset 2: leading zero in number");
+    ("00", "at offset 1: leading zero in number");
+    ("01.5", "at offset 1: leading zero in number");
+    ("[1,007]", "at offset 4: leading zero in number");
+    ("{\"n\":-00e1}", "at offset 7: leading zero in number");
+    ("", "at offset 0: unexpected end of input");
+    ("   ", "at offset 3: unexpected end of input");
+    ("{", "at offset 1: expected \", found end of input");
+    ("[", "at offset 1: unexpected end of input");
+    ("[1,]", "at offset 3: unexpected character ]");
+    ("[1 2]", "at offset 3: expected ], found 2");
+    ("{\"a\":}", "at offset 5: unexpected character }");
+    ("{\"a\" 1}", "at offset 5: expected :, found 1");
+    ("{\"a\":1,}", "at offset 7: expected \", found }");
+    ("{\"a\":1 \"b\":2}", "at offset 7: expected }, found \"");
+    ("{1:2}", "at offset 1: expected \", found 1");
+    ("{\"a\"}", "at offset 4: expected :, found }");
+    ("nulx", "at offset 0: invalid literal, expected null");
+    ("tru", "at offset 0: invalid literal, expected true");
+    ("fals", "at offset 0: invalid literal, expected false");
+    ("@", "at offset 0: unexpected character @");
+    ("1 2", "at offset 2: trailing garbage after value");
+    ("[1] trailing", "at offset 4: trailing garbage after value");
+    ("\"unterminated", "at offset 13: unterminated string");
+    ("\"abc\\", "at offset 5: truncated escape");
+    ("\"bad \\q escape\"", "at offset 6: invalid escape character");
+    ("\"a\001b\"", "at offset 2: unescaped control character in string");
+    ("\"tab\there\"", "at offset 4: unescaped control character in string");
+    ("\"\\u12\"", "at offset 5: invalid hex digit in \\u escape");
+    ("\"\\u12G4\"", "at offset 5: invalid hex digit in \\u escape");
+    ("\"\\ud800\"", "at offset 7: unpaired surrogate");
+    ("\"\\ud800\\u0041\"", "at offset 13: unpaired surrogate");
+    ("\"\\udc00\"", "at offset 7: unpaired surrogate");
+    ("\"\\ud800\\", "at offset 7: unpaired surrogate");
+    ("\"x\\u00", "at offset 6: truncated \\u escape");
+    ("-", "at offset 1: expected digit");
+    ("-a", "at offset 1: expected digit");
+    ("1.", "at offset 2: expected digit");
+    ("1.e5", "at offset 2: expected digit");
+    ("1e", "at offset 2: expected digit");
+    ("1e+", "at offset 3: expected digit");
+    (".5", "at offset 0: unexpected character .");
+    ("+1", "at offset 0: unexpected character +");
+    ("[-]", "at offset 2: expected digit");
+    ("0x10", "at offset 1: trailing garbage after value");
+    ("1.5.2", "at offset 3: trailing garbage after value");
+    ("[\"a\",]", "at offset 5: unexpected character ]");
+    ("{\"k\":[1,{\"z\":}]}", "at offset 13: unexpected character }");
+    ("\"\\", "at offset 2: truncated escape");
+  ]
+
+let test_json_parse_rejects () =
+  List.iter
+    (fun (input, expected) ->
+      match Json.of_string input with
+      | Ok j -> Alcotest.failf "parser accepted %S as %s" input (Json.to_string j)
+      | Error e -> check_str (Printf.sprintf "error for %S" input) expected e)
+    malformed_corpus
+
+(* Numbers the grammar accepts, at the edges of the leading-zero rule
+   and of the [Int] range. *)
+let test_json_number_grammar () =
+  List.iter
+    (fun (input, expected) ->
+      check (Printf.sprintf "%S parses" input) true
+        (Json.of_string input = Ok expected))
+    [
+      ("0", Json.Int 0);
+      ("-0", Json.Int 0);
+      ("10", Json.Int 10);
+      ("0.25", Json.Float 0.25);
+      ("-0.5e1", Json.Float (-5.0));
+      ("0e5", Json.Float 0.0);
+      ("1e01", Json.Float 10.0);
+      ("123456789012345678", Json.Int 123456789012345678);
+      ("4611686018427387903", Json.Int max_int);
+      ("-4611686018427387904", Json.Int min_int);
+      ("4611686018427387904", Json.Float 4611686018427387904.0);
+    ]
 
 (* --- Histograms --- *)
 
@@ -463,6 +651,10 @@ let suite =
     ("sampled-out suppression", `Quick, test_sampled_out);
     ("engine round events", `Quick, test_engine_round_events);
     ("tables json golden (Cor 4.4)", `Quick, test_tables_json_golden);
+    ("json float printer edge cases", `Quick, test_json_float_edge_identity);
+    ("json number grammar", `Quick, test_json_number_grammar);
     q prop_json_float_roundtrip;
     q prop_json_string_roundtrip;
+    q prop_json_float_printer_identity;
+    q prop_json_tree_roundtrip;
   ]
