@@ -1016,17 +1016,26 @@ let print_cache_stats () =
 
 (* Part 23: the serving layer's hot paths — wire codec round trips and
    bounded-queue admission — measured standalone, without sockets, so the
-   numbers isolate protocol overhead from network and evaluation cost. *)
+   numbers isolate protocol overhead from network and evaluation cost.
+   Each row times its loop [repeats] times and reports the best repeat
+   (a noisy neighbour only ever slows a repeat down) with the spread
+   between the slowest and the best. *)
 let print_serve_bench () =
   let module Wire = Gossip_serve.Wire in
   let module Bq = Gossip_serve.Bounded_queue in
+  let repeats = 7 in
   let rate label iters f =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      f ()
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    (label, float_of_int iters /. dt)
+    let once () =
+      let t0 = Unix.gettimeofday () in
+      for _ = 1 to iters do
+        f ()
+      done;
+      float_of_int iters /. (Unix.gettimeofday () -. t0)
+    in
+    let rates = List.init repeats (fun _ -> once ()) in
+    ( label,
+      List.fold_left Float.max 0.0 rates,
+      List.fold_left Float.min infinity rates )
   in
   let request =
     {
@@ -1102,23 +1111,31 @@ let print_serve_bench () =
           | Ok j -> ignore (Wire.parse_response j)
           | Error _ -> assert false);
       (let frames = 1000 in
-       let label, per_s =
+       let label, best, worst =
          rate "tables reply read_frame (pipe)" 1 (fun () ->
              read_tables_frames frames)
        in
-       (label, per_s *. float_of_int frames));
+       (label, best *. float_of_int frames, worst *. float_of_int frames));
       rate "queue push+pop pair" 200_000 (fun () ->
           ignore (Bq.try_push q request);
           ignore (Bq.pop q));
     ]
   in
   let t =
-    Table.make ~title:"Serving layer hot paths" [ "operation"; "ops/s"; "us/op" ]
+    Table.make
+      ~title:
+        (Printf.sprintf "Serving layer hot paths (best of %d repeats)" repeats)
+      [ "operation"; "ops/s"; "us/op"; "spread" ]
   in
   List.iter
-    (fun (label, rate) ->
+    (fun (label, best, worst) ->
       Table.add_row t
-        [ label; Printf.sprintf "%.0f" rate; Printf.sprintf "%.2f" (1e6 /. rate) ])
+        [
+          label;
+          Printf.sprintf "%.0f" best;
+          Printf.sprintf "%.2f" (1e6 /. best);
+          Printf.sprintf "+%.0f%%" (100.0 *. ((best /. worst) -. 1.0));
+        ])
     rows;
   Table.print t
 
@@ -1409,9 +1426,9 @@ let print_robustness_overhead () =
 
 (* Part 18 tops out near 30k vertices because it materializes the
    digraph and the full n² knowledge state.  The implicit path tracks 64
-   items through a Schedule sender function, so the same curve extends
-   two orders of magnitude further; the gauge per size lands in the
-   --json report. *)
+   items through round tables compiled from a Schedule, so the same
+   curve extends two orders of magnitude further; the gauge per size
+   lands in the --json report. *)
 let print_scale_implicit () =
   let t =
     Table.make

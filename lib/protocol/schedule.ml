@@ -1,5 +1,6 @@
 module Digraph = Gossip_topology.Digraph
 module Implicit = Gossip_topology.Implicit
+module Parallel = Gossip_util.Parallel
 
 type t = {
   name : string;
@@ -7,12 +8,32 @@ type t = {
   mode : Protocol.mode;
   period : int;
   sender : int -> int -> int;
+  (* [compile domains] starts one run's round compiler: it allocates the
+     run's table buffers and returns [round -> table] *)
+  compile : int -> int -> int array;
 }
+
+(* [fill_blocks ~domains n f] runs [f lo hi] over [0, n) in contiguous
+   vertex blocks — the round kernel's split — on [domains] workers.
+   Every table fill writes only its block's entries, so tables are the
+   same at every worker count. *)
+let fill_blocks ~domains n f =
+  Parallel.reduce_blocks ~domains n f (fun () () -> ()) ()
+
+(* The generic compiler: one [sender] call per vertex into one table. *)
+let compile_sender n sender domains =
+  let table = Array.make (max 1 n) (-1) in
+  fun r ->
+    fill_blocks ~domains n (fun lo hi ->
+        for v = lo to hi - 1 do
+          table.(v) <- sender r v
+        done);
+    table
 
 let make ~name ~n ~mode ~period ~sender =
   if n < 0 then invalid_arg "Schedule.make: negative vertex count";
   if period < 1 then invalid_arg "Schedule.make: period must be >= 1";
-  { name; n; mode; period; sender }
+  { name; n; mode; period; sender; compile = compile_sender n sender }
 
 let name t = t.name
 let n_vertices t = t.n
@@ -23,9 +44,16 @@ let sender t round v =
   if round < 0 then invalid_arg "Schedule.sender: negative round";
   t.sender round v
 
-let round_sender t round =
-  if round < 0 then invalid_arg "Schedule.sender: negative round";
-  t.sender round
+let tables ?domains t =
+  let domains =
+    match domains with
+    | Some d -> max 1 d
+    | None -> Parallel.recommended_domains ()
+  in
+  let compile = t.compile domains in
+  fun round ->
+    if round < 0 then invalid_arg "Schedule.tables: negative round";
+    compile round
 
 (* --- the materialized protocols as one instance ---------------------- *)
 
@@ -47,6 +75,7 @@ let of_systolic sys =
     mode = Systolic.mode sys;
     period = s;
     sender = (fun r v -> tables.(r mod s).(v));
+    compile = (fun _ r -> tables.(r mod s));
   }
 
 (* --- bridging back to the materialized world (small n only) ---------- *)
@@ -67,13 +96,25 @@ let to_systolic t g =
 (* --- faults on the arc stream ---------------------------------------- *)
 
 let with_drops t ~drop =
+  let keep r v x = if x < 0 || drop ~round:r ~u:x ~v then -1 else x in
   {
     t with
     name = t.name ^ "+drops";
-    sender =
-      (fun r v ->
-        let x = t.sender r v in
-        if x < 0 || drop ~round:r ~u:x ~v then -1 else x);
+    sender = (fun r v -> keep r v (t.sender r v));
+    (* the inner table is filtered into a buffer of this layer's own: the
+       inner compiler may hand out a table it reuses (of_systolic's period
+       tables, a cached pairing) *)
+    compile =
+      (fun domains ->
+        let inner = t.compile domains in
+        let table = Array.make (max 1 t.n) (-1) in
+        fun r ->
+          let src = inner r in
+          fill_blocks ~domains t.n (fun lo hi ->
+              for v = lo to hi - 1 do
+                table.(v) <- keep r v src.(v)
+              done);
+          table);
   }
 
 (* --- structured periodic matchings ----------------------------------- *)
@@ -81,21 +122,68 @@ let with_drops t ~drop =
 (* Direction-split wrapper: an exchange pairing becomes a half-duplex
    schedule of twice the period — lower endpoint sends on even rounds,
    higher on odd.  [pairing t v] is the partner of [v] in pairing [t]
-   (or -1), and must be an involution: pairing t (pairing t v) = v. *)
+   (or -1), and must be an involution: pairing t (pairing t v) = v.
+
+   [fill_partners ~domains ~scratch dst t] writes pairing [t]'s partner
+   array into [dst] and may clobber [scratch]; both are n-word buffers
+   of the run.  A run keeps one partner array, recomputed only when the
+   pairing changes, so the two half-duplex rounds of a pairing share it;
+   a half-duplex round table is one pass over it into [scratch].  Two
+   n-word buffers in all. *)
+let pairing_schedule ~name ~n ~pairings ~full_duplex ~fill_partners pairing =
+  let compile domains =
+    let partners = Array.make (max 1 n) (-1) in
+    let scratch = Array.make (max 1 n) (-1) in
+    let cached = ref (-1) in
+    let partners_of t =
+      if !cached <> t then begin
+        (* no pairing is cached while [partners] is being refilled *)
+        cached := -1;
+        fill_partners ~domains ~scratch partners t;
+        cached := t
+      end;
+      partners
+    in
+    if full_duplex then fun r -> partners_of (r mod pairings)
+    else fun r ->
+      let r = r mod (2 * pairings) in
+      let p = partners_of (r / 2) in
+      (* [v] hears partner [u] when [dir * (u - v) < 0]: [u < v] on even
+         rounds, [u > v] on odd ones (and never for u = -1).  Branch-free,
+         as the comparison is a coin flip per vertex: the sign smeared
+         over the word keeps [u], else the [lor] gives -1. *)
+      let dir = if r mod 2 = 0 then 1 else -1 in
+      fill_blocks ~domains n (fun lo hi ->
+          for v = lo to hi - 1 do
+            let u = p.(v) in
+            scratch.(v) <- u lor lnot ((dir * (u - v)) asr 62)
+          done);
+      scratch
+  in
+  let sched =
+    if full_duplex then
+      make ~name ~n ~mode:Protocol.Full_duplex ~period:pairings
+        ~sender:(fun r v -> pairing (r mod pairings) v)
+    else
+      make ~name ~n ~mode:Protocol.Half_duplex
+        ~period:(2 * pairings)
+        ~sender:(fun r v ->
+          let r = r mod (2 * pairings) in
+          let p = pairing (r / 2) v in
+          if p < 0 then -1
+          else if r mod 2 = 0 then if p < v then p else -1
+          else if p > v then p
+          else -1)
+  in
+  { sched with compile }
+
 let of_pairing ~name ~n ~pairings ~full_duplex pairing =
-  if full_duplex then
-    make ~name ~n ~mode:Protocol.Full_duplex ~period:pairings
-      ~sender:(fun r v -> pairing (r mod pairings) v)
-  else
-    make ~name ~n ~mode:Protocol.Half_duplex
-      ~period:(2 * pairings)
-      ~sender:(fun r v ->
-        let r = r mod (2 * pairings) in
-        let p = pairing (r / 2) v in
-        if p < 0 then -1
-        else if r mod 2 = 0 then if p < v then p else -1
-        else if p > v then p
-        else -1)
+  pairing_schedule ~name ~n ~pairings ~full_duplex pairing
+    ~fill_partners:(fun ~domains ~scratch:_ dst t ->
+      fill_blocks ~domains n (fun lo hi ->
+          for v = lo to hi - 1 do
+            dst.(v) <- pairing t v
+          done))
 
 (* Proper coloring of the cycle on [len] vertices: edge j joins j and
    j+1 mod len; colors alternate, with the closing edge taking a third
@@ -182,10 +270,23 @@ let proposal imp ~period ~seed ~full_duplex =
     let u = candidate t v in
     if u >= 0 && candidate t u = v then u else -1
   in
-  of_pairing
+  (* compiled: one [candidate] per vertex into [scratch], then the
+     mutual-partner pass reads candidates only *)
+  let fill_partners ~domains ~scratch dst t =
+    fill_blocks ~domains n (fun lo hi ->
+        for v = lo to hi - 1 do
+          scratch.(v) <- candidate t v
+        done);
+    fill_blocks ~domains n (fun lo hi ->
+        for v = lo to hi - 1 do
+          let u = scratch.(v) in
+          dst.(v) <- (if u >= 0 && scratch.(u) = v then u else -1)
+        done)
+  in
+  pairing_schedule
     ~name:(Printf.sprintf "%s proposal(s=%d,seed=%d)" (Implicit.name imp)
              period seed)
-    ~n ~pairings:period ~full_duplex pairing
+    ~n ~pairings:period ~full_duplex ~fill_partners pairing
 
 (* --- family resolution ------------------------------------------------ *)
 

@@ -3,14 +3,19 @@
     A systolic protocol repeats a period of matchings forever.  The
     materialized {!Systolic.t} stores those matchings as arc lists over a
     {!Digraph.t}; at a million vertices neither fits in memory.  This
-    module represents a schedule as a pure {e sender function}
+    module represents a schedule by its {e sender function}
     [sender round v] — the vertex transmitting to [v] in [round], or
-    [-1] — so each round's matching is recomputed blockwise by the
-    simulators' round kernel and never stored.  The materialized
-    protocols become one instance via {!of_systolic} (the form in which
-    every systolic protocol is simulated), and {!to_systolic} bridges
-    back so property tests can pin implicit schedules against their
-    materialized counterparts on small instances. *)
+    [-1] — which is the specification, and by a {e round compiler}
+    ({!tables}) that turns one round at a time into a receiver→sender
+    table, the only form the simulators' round kernel reads.  A run's
+    tables live in at most two n-word buffers (plus one per
+    {!with_drops} layer) that every round overwrites; no period is ever
+    stored, except by {!of_systolic}, whose period tables are the
+    protocol itself.  The materialized protocols become one instance via
+    {!of_systolic} (the form in which every systolic protocol is
+    simulated), and {!to_systolic} bridges back so property tests can
+    pin implicit schedules against their materialized counterparts on
+    small instances. *)
 
 type t
 
@@ -41,11 +46,26 @@ val period : t -> int
     @raise Invalid_argument on [round < 0]. *)
 val sender : t -> int -> int -> int
 
-(** [round_sender t round] is [sender t round] with the round checked
-    once instead of per vertex: one round's receiver→sender table, the
-    form the simulators' round kernel reads.
-    @raise Invalid_argument on [round < 0]. *)
-val round_sender : t -> int -> int -> int
+(** [tables ?domains t] starts one run's round compiler: [compile round]
+    is (absolute) round [round]'s receiver→sender table — an array [a]
+    of length at least [n] with [a.(v) = sender t round v] for every
+    [0 <= v < n].  The compiler owns the array: it stays valid until the
+    compiler's next call, and callers must not write it.  Fills run in
+    vertex blocks on [domains] workers (default
+    {!Gossip_util.Parallel.recommended_domains}); the tables are
+    identical at every worker count.  Per constructor:
+    - {!of_systolic}: the precomputed period table, no fill at all;
+    - pairing schedules ({!of_pairing}, the structured generators and
+      {!proposal}): one partner array per pairing, shared by the two
+      half-duplex rounds of a pairing; {!proposal} computes it from one
+      candidate per vertex;
+    - {!with_drops}: the inner table filtered into a buffer of its own;
+    - {!make}: one [sender] call per vertex.
+    Memory: at most two n-word buffers per run, plus one per
+    {!with_drops} layer.  A compiler is not itself safe to share between
+    domains; start one per run.
+    @raise Invalid_argument on a negative round. *)
+val tables : ?domains:int -> t -> int -> int array
 
 (** [of_systolic sys] views a materialized systolic protocol as a
     schedule, precomputing one receiver-indexed sender table per period

@@ -55,9 +55,16 @@ let coverage st =
 
 let complete st = st.known = st.n * st.items
 
+(* Branch-free SWAR popcount of a 63-bit int: pair, nibble and byte
+   sums by shift-and-mask, then one multiply adds the bytes into the top
+   byte.  The masks are the 64-bit constants truncated to 63 bits; the
+   top field of each step is short but never overflows (its count fits),
+   and the total (<= 63) fits the 7 bits left above bit 56. *)
 let popcount x =
-  let rec go acc x = if x = 0 then acc else go (acc + 1) (x land (x - 1)) in
-  go 0 x
+  let x = x - ((x lsr 1) land 0x5555555555555555) in
+  let x = (x land 0x3333333333333333) + ((x lsr 2) land 0x3333333333333333) in
+  let x = (x + (x lsr 4)) land 0x0F0F0F0F0F0F0F0F in
+  (x * 0x0101010101010101) lsr 56
 
 let known_by st v =
   if v < 0 || v >= st.n then invalid_arg "Chunked.known_by: vertex out of range";
@@ -67,10 +74,10 @@ let known_by st v =
   done;
   !acc
 
-(* One vertex block of one round, in place; [sender v] is the vertex
+(* One vertex block of one round, in place; [senders.(v)] is the vertex
    transmitting to [v] this round, or [-1].  A round is a matching, so a
    sender is never also a receiver except through a full-duplex exchange:
-   - exchange (sender v = x and sender x = v): owned by the lower
+   - exchange (senders.(v) = x and senders.(x) = v): owned by the lower
      endpoint, which writes the shared union to both sides — identical to
      the start-of-round snapshot semantics, since both ends get
      old(v) | old(x);
@@ -78,13 +85,13 @@ let known_by st v =
      v |= x in place is race-free.
    Returns the number of newly-set bits; the cross-block sum is an exact
    integer, so results are identical for any worker count. *)
-let block_delta st sender lo hi =
-  let words = st.words and state = st.state in
+let block_delta st senders lo hi =
+  let words = st.words and state = st.state and n = st.n in
   let delta = ref 0 in
   for v = lo to hi - 1 do
-    let x = sender v in
-    if x >= 0 && x < st.n && x <> v then
-      if sender x = v then begin
+    let x = senders.(v) in
+    if x >= 0 && x < n && x <> v then
+      if senders.(x) = v then begin
         if v < x then begin
           let dv = v * words and dx = x * words in
           for w = 0 to words - 1 do
@@ -115,26 +122,11 @@ let block_delta st sender lo hi =
   done;
   !delta
 
-let apply_senders ?domains st sender =
-  let workers =
-    match domains with
-    | Some d -> max 1 d
-    | None -> Parallel.recommended_domains ()
-  in
-  (* a few blocks per worker keeps the strided distribution balanced
-     when block costs differ *)
-  let nblocks = max 1 (min st.n (workers * 4)) in
-  let delta =
-    Parallel.reduce ?domains nblocks
-      (fun b ->
-        let lo = b * st.n / nblocks and hi = (b + 1) * st.n / nblocks in
-        block_delta st sender lo hi)
-      ( + ) 0
-  in
-  st.known <- st.known + delta
-
-let apply_round ?domains st sched round =
-  apply_senders ?domains st (Schedule.round_sender sched round)
+let apply_senders ?domains st senders =
+  if Array.length senders < st.n then
+    invalid_arg "Chunked.apply_senders: table shorter than the vertex count";
+  st.known <-
+    st.known + Parallel.reduce_blocks ?domains st.n (block_delta st senders) ( + ) 0
 
 (* One receiver->sender table for the whole run: each round writes its
    arcs' senders in, and wipes them again after the kernel has read them. *)
@@ -142,7 +134,7 @@ let arc_applier st =
   let senders = Array.make (max 1 st.n) (-1) in
   fun arcs ->
     List.iter (fun (x, y) -> senders.(y) <- x) arcs;
-    apply_senders ~domains:1 st (Array.get senders);
+    apply_senders ~domains:1 st senders;
     List.iter (fun (_, y) -> senders.(y) <- -1) arcs
 
 type checkpoint = {
@@ -177,6 +169,7 @@ let run ?domains ?cap ?(checkpoint_every = 0) ?on_checkpoint st sched =
   let cap =
     match cap with Some c -> c | None -> default_cap st.n (Schedule.period sched)
   in
+  let table = Schedule.tables ?domains sched in
   let streaming = Instrument.tracing () in
   let checkpoints = ref [] in
   let time = ref None in
@@ -233,7 +226,7 @@ let run ?domains ?cap ?(checkpoint_every = 0) ?on_checkpoint st sched =
   in
   Instrument.span "simulate.chunked-run" (fun () ->
       while !time = None && !i < cap do
-        apply_round ?domains st sched !i;
+        apply_senders ?domains st (table !i);
         incr i;
         if complete st then time := Some !i;
         if checkpoint_every > 0 && (!i mod checkpoint_every = 0 || !time <> None)

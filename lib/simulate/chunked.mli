@@ -2,11 +2,13 @@
 
     Knowledge lives in one contiguous word array — [words] machine words
     of item bits per vertex — processed blockwise in parallel.  Rounds
-    come in as receiver→sender tables ({!apply_senders}): from a
-    {!Gossip_protocol.Schedule} sender function ({!apply_round}), so
-    nothing per-round is ever materialized, or from an explicit arc list
-    ({!arc_applier}).  {!Engine}, {!Stats}, {!Faults} and {!Certifier}
-    are front ends over this kernel.
+    come in as receiver→sender tables, [int array]s, and nothing else
+    ({!apply_senders}): compiled from a {!Gossip_protocol.Schedule} one
+    round at a time ({!Gossip_protocol.Schedule.tables}, as {!run}
+    does), or filled from an explicit arc list ({!arc_applier}).  The
+    kernel calls no closure per vertex, so its cost is the knowledge
+    merge itself.  {!Engine}, {!Stats}, {!Faults} and {!Certifier} are
+    front ends over this kernel.
 
     With [items = n] (the default) the state is exact gossip: every
     vertex's full item set.  To scale, a run can track the dissemination
@@ -50,23 +52,24 @@ val coverage : state -> float
 (** [complete st] — every vertex knows every tracked item. *)
 val complete : state -> bool
 
-(** [apply_senders ?domains st sender] executes one round given as its
-    receiver→sender table — [sender v] is the vertex transmitting to [v],
-    or [-1] — on [st], blockwise over the worker domains (default
+(** [apply_senders ?domains st senders] executes one round given as its
+    receiver→sender table — [senders.(v)] is the vertex transmitting to
+    [v], or [-1] — on [st], blockwise over the worker domains (default
     {!Gossip_util.Parallel.recommended_domains}).  The round must be a
-    matching; [sender] must be pure and safe to call from any domain. *)
-val apply_senders : ?domains:int -> state -> (int -> int) -> unit
-
-(** [apply_round ?domains st sched round] is {!apply_senders} over
-    [Schedule.round_sender sched round]: (absolute) round [round] of
-    [sched]. *)
-val apply_round : ?domains:int -> state -> Gossip_protocol.Schedule.t -> int -> unit
+    matching; the table is only read.
+    @raise Invalid_argument when [senders] is shorter than [n]. *)
+val apply_senders : ?domains:int -> state -> int array -> unit
 
 (** [arc_applier st] is a function that executes one round given as an
     arc list (a matching) on [st], on one domain.  It fills and wipes one
     receiver→sender table allocated here, so a run of explicit rounds
     allocates no table per round. *)
 val arc_applier : state -> Gossip_protocol.Protocol.round -> unit
+
+(** [popcount x] is the number of set bits among the 63 bits of [x]
+    (negative [x] included) — the kernel's per-word count of newly
+    learned items, exposed for its tests. *)
+val popcount : int -> int
 
 (** A streamed progress sample: the deterministic coverage curve
     ([round], [coverage] — identical at every worker count) plus the
@@ -92,7 +95,9 @@ type outcome = {
 }
 
 (** [run ?domains ?cap ?checkpoint_every ?on_checkpoint st sched]
-    drives [st] under [sched] until complete or [cap] rounds (default
+    drives [st] under [sched] — one {!Gossip_protocol.Schedule.tables}
+    compiler per run, at the same [domains] — until complete or [cap]
+    rounds (default
     [2n + 8·period·⌈log₂ n⌉ + 64] — covers linear-diameter cycles as
     well as logarithmic families).  When [checkpoint_every = k > 0], a
     {!checkpoint} is recorded every [k] rounds plus at the final round,

@@ -29,13 +29,14 @@ let default_cap p =
 let run_until ?probe ?cap ~done_ p =
   let cap = match cap with Some c -> c | None -> default_cap p in
   let sched = Schedule.of_systolic p in
+  let table = Schedule.tables ~domains:1 sched in
   let st = Chunked.create (Schedule.n_vertices sched) in
   let result = ref None in
   let i = ref 0 in
   while !result = None && !i < cap do
     (* one domain: runs are short, and the server's worker pool already
        runs them side by side *)
-    Chunked.apply_round ~domains:1 st sched !i;
+    Chunked.apply_senders ~domains:1 st (table !i);
     incr i;
     (match probe with
     | Some f -> f ~round:!i ~coverage:(Chunked.coverage st)

@@ -5,18 +5,18 @@ module Systolic = Gossip_protocol.Systolic
    one domain, exactly as [Engine] does. *)
 let start p =
   let sched = Schedule.of_systolic p in
-  (sched, Chunked.create (Schedule.n_vertices sched))
+  (Schedule.tables ~domains:1 sched, Chunked.create (Schedule.n_vertices sched))
 
 let arrival_times p ~horizon =
-  let sched, st = start p in
-  let n = Schedule.n_vertices sched in
+  let table, st = start p in
+  let n = Chunked.n_vertices st in
   let arrival = Array.make_matrix n n max_int in
   for v = 0 to n - 1 do
     arrival.(v).(v) <- 0
   done;
   let round = ref 0 in
   while !round < horizon && not (Chunked.complete st) do
-    Chunked.apply_round ~domains:1 st sched !round;
+    Chunked.apply_senders ~domains:1 st (table !round);
     incr round;
     for v = 0 to n - 1 do
       for item = 0 to n - 1 do
@@ -70,10 +70,10 @@ let summarize ?horizon p =
   }
 
 let newly_informed p ~horizon =
-  let sched, st = start p in
+  let table, st = start p in
   let prev = ref (Chunked.items_known st) in
   Array.init horizon (fun i ->
-      Chunked.apply_round ~domains:1 st sched i;
+      Chunked.apply_senders ~domains:1 st (table i);
       let now = Chunked.items_known st in
       let delta = now - !prev in
       prev := now;
@@ -85,13 +85,13 @@ let message_complexity ?horizon p =
   let horizon =
     match horizon with Some h -> h | None -> Engine.default_cap p
   in
-  let sched, st = start p in
+  let table, st = start p in
   let transmissions = ref 0 and useful = ref 0 in
   let rounds = ref 0 in
   while !rounds < horizon && not (Chunked.complete st) do
     let round = Systolic.period_round p !rounds in
     let before = List.map (fun (_, y) -> Chunked.known_by st y) round in
-    Chunked.apply_round ~domains:1 st sched !rounds;
+    Chunked.apply_senders ~domains:1 st (table !rounds);
     List.iter2
       (fun (_, y) b ->
         incr transmissions;

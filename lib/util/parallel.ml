@@ -136,5 +136,14 @@ let reduce ?domains n f combine init =
     res
   end
 
+(* A few blocks per worker keeps the strided distribution balanced when
+   block costs differ. *)
+let reduce_blocks ?domains n f combine init =
+  let workers = match domains with Some d -> max 1 d | None -> recommended_domains () in
+  let nblocks = max 1 (min n (workers * 4)) in
+  reduce ~domains:workers nblocks
+    (fun b -> f (b * n / nblocks) ((b + 1) * n / nblocks))
+    combine init
+
 let max_float ?domains f arr =
   reduce ?domains (Array.length arr) (fun i -> f arr.(i)) Float.max neg_infinity

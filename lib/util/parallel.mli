@@ -55,6 +55,14 @@ val init : ?domains:int -> int -> (int -> 'a) -> 'a array
     Returns [init] when [n <= 0]. *)
 val reduce : ?domains:int -> int -> (int -> 'a) -> ('a -> 'a -> 'a) -> 'a -> 'a
 
+(** [reduce_blocks ?domains n f combine init] is {!reduce} over
+    contiguous blocks: [0, n)] is cut into up to four blocks per worker,
+    and [f lo hi] handles the block [lo, hi)].  Every index lies in
+    exactly one block, so when [f] writes only its own indices the
+    writes are disjoint; [combine] must be as {!reduce} requires. *)
+val reduce_blocks :
+  ?domains:int -> int -> (int -> int -> 'a) -> ('a -> 'a -> 'a) -> 'a -> 'a
+
 (** [max_float ?domains f arr] is [max over x of f x], [neg_infinity] on
     the empty array.  Implemented as a fused {!reduce}. *)
 val max_float : ?domains:int -> ('a -> float) -> 'a array -> float

@@ -322,6 +322,97 @@ let test_with_drops_absolute_rounds () =
     (Schedule.round_arcs lossy ((2 * s) + 1)
     = Schedule.round_arcs base ((2 * s) + 1))
 
+(* --- compiled round tables: every table is the sender function --- *)
+
+(* [table_cases full_duplex] — one schedule per constructor, plus drops
+   (single and stacked) and the Fault_tolerant wrappers, which compile
+   through [make ~sender]. *)
+let table_cases full_duplex =
+  let mode_sys =
+    if full_duplex then Builders.edge_coloring_full_duplex
+    else Builders.edge_coloring_half_duplex
+  in
+  let proposal =
+    Schedule.proposal (Implicit.de_bruijn 2 6) ~period:5 ~seed:3 ~full_duplex
+  in
+  let cycle = Schedule.cycle_alternating ~n:7 ~full_duplex in
+  let drop_a ~round ~u ~v = (round + u + (3 * v)) mod 4 = 0 in
+  let drop_b ~round ~u ~v = (round * u) mod 5 = v mod 5 in
+  List.map (fun (name, _, s) -> (name, s)) (all_cases full_duplex)
+  @ [
+      ("of_systolic db(2,4)", Schedule.of_systolic (mode_sys (Families.de_bruijn 2 4)));
+      ("of_systolic kautz(2,3)", Schedule.of_systolic (mode_sys (Families.kautz 2 3)));
+      ("proposal db(2,6) period 5", proposal);
+      ("with_drops proposal", Schedule.with_drops proposal ~drop:drop_a);
+      ( "stacked with_drops proposal",
+        Schedule.with_drops (Schedule.with_drops proposal ~drop:drop_a) ~drop:drop_b );
+      ( "with_drops of_systolic",
+        Schedule.with_drops
+          (Schedule.of_systolic (mode_sys (Families.hypercube 3)))
+          ~drop:drop_b );
+      ( "concat proposal+Q(6)",
+        Fault_tolerant.concat proposal (Schedule.hypercube_sweep ~dim:6 ~full_duplex) );
+      ("replicate cycle k=2", fst (Fault_tolerant.replicate cycle ~k:2));
+      ("augment cycle k=1", fst (Fault_tolerant.augment cycle ~k:1));
+      ( "with_drops replicate",
+        Schedule.with_drops (fst (Fault_tolerant.replicate proposal ~k:1)) ~drop:drop_a );
+    ]
+
+let sender_table sched r =
+  Array.init (Schedule.n_vertices sched) (Schedule.sender sched r)
+
+(* Equal to the sender function at every domain count, so also
+   bit-identical across domain counts. *)
+let test_tables_equal_sender () =
+  List.iter
+    (fun full_duplex ->
+      List.iter
+        (fun (name, sched) ->
+          List.iter
+            (fun domains ->
+              let compile = Schedule.tables ~domains sched in
+              for r = 0 to (3 * Schedule.period sched) - 1 do
+                check
+                  (Printf.sprintf "%s fd=%b domains=%d round %d: table = sender"
+                     name full_duplex domains r)
+                  true
+                  (Array.sub (compile r) 0 (Schedule.n_vertices sched)
+                  = sender_table sched r)
+              done)
+            [ 1; 2; 4 ])
+        (table_cases full_duplex))
+    [ false; true ]
+
+let test_tables_pairing_cache () =
+  (* half-duplex period 3 proposal: rounds 2k and 2k+1 share pairing k.
+     Revisit rounds in an order that reuses, leaves and returns to a
+     pairing, so a stale candidate or partner array shows up as a table
+     that disagrees with the sender function. *)
+  List.iter
+    (fun full_duplex ->
+      let sched =
+        Schedule.proposal (Implicit.kautz 2 4) ~period:3 ~seed:11 ~full_duplex
+      in
+      List.iter
+        (fun domains ->
+          let compile = Schedule.tables ~domains sched in
+          List.iter
+            (fun r ->
+              check
+                (Printf.sprintf "fd=%b domains=%d round %d after reuse" full_duplex
+                   domains r)
+                true
+                (Array.sub (compile r) 0 (Schedule.n_vertices sched)
+                = sender_table sched r))
+            [ 0; 0; 1; 1; 2; 4; 3; 0; 6; 7; 1; 5; 5; 2 ])
+        [ 1; 2; 4 ])
+    [ false; true ];
+  let compile = Schedule.tables (Schedule.hypercube_sweep ~dim:3 ~full_duplex:false) in
+  check "negative round rejected" true
+    (match compile (-1) with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 let suite =
   [
     ("implicit generators agree", `Quick, test_generators_agree);
@@ -342,4 +433,6 @@ let suite =
     ("implicit faults deterministic", `Quick, test_implicit_faults_deterministic);
     ("with_drops stacking is union", `Quick, test_with_drops_stacking_is_union);
     ("with_drops keys absolute rounds", `Quick, test_with_drops_absolute_rounds);
+    ("tables = sender for every constructor", `Quick, test_tables_equal_sender);
+    ("tables pairing cache never stale", `Quick, test_tables_pairing_cache);
   ]

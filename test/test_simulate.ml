@@ -352,12 +352,14 @@ let test_faults_curve_points_json () =
 
 (* The reference keeps a [bool array array] and copies the whole state at
    the start of every round, so each arc reads start-of-round knowledge
-   by construction.  It runs [round_of 0], [round_of 1], ... until gossip
-   completes or [cap] rounds, and returns the coverage after each round,
-   the gossip time and, per source, the broadcast time. *)
-let naive_run n ~cap round_of =
-  let know = Array.init n (fun v -> Array.init n (fun i -> i = v)) in
-  let bcast = Array.make n None in
+   by construction.  It tracks the first [items] items (default [n]),
+   runs [round_of 0], [round_of 1], ... until gossip completes or [cap]
+   rounds, and returns the coverage after each round, the gossip time,
+   per source the broadcast time, and the final knowledge. *)
+let naive_run ?items n ~cap round_of =
+  let items = Option.value items ~default:n in
+  let know = Array.init n (fun v -> Array.init items (fun i -> i = v)) in
+  let bcast = Array.make items None in
   let everyone_knows i = Array.for_all (fun row -> row.(i)) know in
   let count () =
     Array.fold_left
@@ -374,13 +376,13 @@ let naive_run n ~cap round_of =
       (round_of !r);
     incr r;
     let c = count () in
-    coverage := (float_of_int c /. float_of_int (n * n)) :: !coverage;
-    for i = 0 to n - 1 do
+    coverage := (float_of_int c /. float_of_int (n * items)) :: !coverage;
+    for i = 0 to items - 1 do
       if bcast.(i) = None && everyone_knows i then bcast.(i) <- Some !r
     done;
-    if c = n * n then gossip := Some !r
+    if c = n * items then gossip := Some !r
   done;
-  (Array.of_list (List.rev !coverage), !gossip, bcast)
+  (Array.of_list (List.rev !coverage), !gossip, bcast, know)
 
 (* Every generator of [Families] and [Extra_families] at a small size:
    symmetric ones under both edge colourings, directed ones under a
@@ -435,7 +437,7 @@ let test_differential_naive () =
       let cap = (8 * Systolic.period sys * n) + 64 in
       let name = Printf.sprintf "%s %s" (Digraph.name g)
           (Protocol.mode_to_string (Systolic.mode sys)) in
-      let coverage, gossip, bcast =
+      let coverage, gossip, bcast, _ =
         naive_run n ~cap (Systolic.period_round sys)
       in
       let run = Engine.gossip_run sys in
@@ -459,6 +461,84 @@ let test_differential_naive () =
       check (name ^ ": run_protocol coverage") true
         (o.Engine.coverage = coverage.(Array.length coverage - 1)))
     (differential_protocols ())
+
+(* The same reference against [Chunked.run] on implicit schedules, whose
+   rounds reach the kernel as compiled tables: mutual-proposal matchings
+   on DB(2,6) and Kautz(2,4), half- and full-duplex, at items = n and
+   items = 64 (DB(2,7): 64 of 128 items over two state words), at 1, 2
+   and 4 domains.  The reference reads rounds from [Schedule.sender]. *)
+let test_differential_naive_implicit () =
+  List.iter
+    (fun (imp, items) ->
+      List.iter
+        (fun full_duplex ->
+          let n = Implicit.n_vertices imp in
+          let sched = Schedule.proposal imp ~period:64 ~seed:5 ~full_duplex in
+          let cap = 1000 in
+          let items = min n (Option.value items ~default:n) in
+          let coverage, gossip, _, know =
+            naive_run ~items n ~cap (Schedule.round_arcs sched)
+          in
+          check (Schedule.name sched ^ ": the reference run completes") true
+            (gossip <> None);
+          List.iter
+            (fun domains ->
+              let name =
+                Printf.sprintf "%s fd=%b items=%d domains=%d"
+                  (Schedule.name sched) full_duplex items domains
+              in
+              let st = Chunked.create ~items n in
+              let o = Chunked.run ~domains ~cap ~checkpoint_every:1 st sched in
+              check (name ^ ": gossip time") true (o.Chunked.time = gossip);
+              check (name ^ ": per-round coverage") true
+                (Array.of_list
+                   (List.map (fun c -> c.Chunked.coverage) o.Chunked.checkpoints)
+                = coverage);
+              let same = ref true in
+              for v = 0 to n - 1 do
+                for i = 0 to items - 1 do
+                  if Chunked.knows st v i <> know.(v).(i) then same := false
+                done
+              done;
+              check (name ^ ": final knows bits") true !same)
+            [ 1; 2; 4 ])
+        [ false; true ])
+    [
+      (Implicit.de_bruijn 2 6, Some 64);
+      (Implicit.de_bruijn 2 6, None);
+      (Implicit.kautz 2 4, Some 64);
+      (Implicit.kautz 2 4, None);
+      (Implicit.de_bruijn 2 7, Some 64);
+    ]
+
+(* --- the kernel's popcount --- *)
+
+let naive_popcount x =
+  let c = ref 0 in
+  for b = 0 to Sys.int_size - 1 do
+    if x land (1 lsl b) <> 0 then incr c
+  done;
+  !c
+
+let test_popcount_edges () =
+  List.iter
+    (fun x ->
+      check_int (Printf.sprintf "popcount %#x" x) (naive_popcount x)
+        (Chunked.popcount x))
+    ([ 0; -1; max_int; min_int; 1 lsl 62; 0x5555555555555555; 0x2AAAAAAAAAAAAAAA ]
+    @ List.init Sys.int_size (fun b -> 1 lsl b)
+    @ List.init Sys.int_size (fun b -> lnot (1 lsl b)));
+  check_int "all 63 bits" 63 (Chunked.popcount (-1))
+
+let prop_popcount =
+  (* three 21-bit draws cover all 63 bits uniformly *)
+  let word =
+    QCheck.map
+      (fun (a, b, c) -> a lor (b lsl 21) lor (c lsl 42))
+      QCheck.(triple (int_bound 0x1FFFFF) (int_bound 0x1FFFFF) (int_bound 0x1FFFFF))
+  in
+  QCheck.Test.make ~name:"popcount = per-bit count" ~count:2000 word (fun x ->
+      Chunked.popcount x = naive_popcount x)
 
 (* --- Faults: outcomes pinned at fixed seeds --- *)
 
@@ -646,9 +726,13 @@ let suite =
     ("faults bursty deterministic", `Quick, test_faults_bursty_deterministic_and_bursty);
     ("faults curve json", `Quick, test_faults_curve_points_json);
     ("differential vs naive reference", `Quick, test_differential_naive);
+    ("differential vs naive reference (implicit)", `Quick,
+     test_differential_naive_implicit);
+    ("popcount edge words", `Quick, test_popcount_edges);
     ("faults golden runs", `Quick, test_faults_golden_runs);
     ("faults golden slowdown curves", `Quick, test_faults_golden_slowdown);
     q prop_knowledge_monotone;
     q prop_gossip_at_least_diameter;
     q prop_items_bounded_by_activations;
+    q prop_popcount;
   ]

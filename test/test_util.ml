@@ -143,7 +143,17 @@ let test_parallel_reduce () =
             (Parallel.reduce ~domains n f ( + ) 0 = !sum_ref);
           if n > 0 then
             check (Printf.sprintf "reduce max n=%d domains=%d" n domains) true
-              (Parallel.reduce ~domains n f max min_int = !max_ref))
+              (Parallel.reduce ~domains n f max min_int = !max_ref);
+          (* blocks must tile [0, n): each index summed exactly once *)
+          let block_sum lo hi =
+            let s = ref 0 in
+            for i = lo to hi - 1 do
+              s := !s + f i
+            done;
+            !s
+          in
+          check (Printf.sprintf "reduce_blocks sum n=%d domains=%d" n domains) true
+            (Parallel.reduce_blocks ~domains n block_sum ( + ) 0 = !sum_ref))
         [ 1; 2; 4; 7 ])
     [ 0; 1; 3; 100; 513 ];
   check "reduce empty returns init" true
